@@ -11,13 +11,15 @@
 //! the indexed-task shape `rfly_sim::pool::Pool` runs: the sweep fans
 //! sites out over the pool and merges rows in site order.
 //!
-//! Every row is flown twice — once at 1 worker, once at the full
-//! width (`RFLY_THREADS` or available parallelism) — and the rows are
-//! asserted **bit-identical** before printing: worker count may only
-//! change wall-clock, never bytes. The serial/parallel ratio lands in
-//! `BENCH_report.json` as `parallel_speedup` and is a hard CI gate on
-//! machines with ≥4 cores: below `SPEEDUP_BUDGET` the binary exits 2,
-//! the same shape as the lint wall-time budget.
+//! The whole sweep is flown four times in ABBA order — 1 worker, full
+//! width (`RFLY_THREADS` or available parallelism), full width, 1
+//! worker — so warm-up and host drift fall on both modes alike, and
+//! all four passes are asserted **bit-identical** before printing:
+//! worker count may only change wall-clock, never bytes. The ratio of
+//! the two modes' mean pass times lands in `BENCH_report.json` as
+//! `parallel_speedup` and is a hard CI gate on machines with ≥4 cores:
+//! below `SPEEDUP_BUDGET` the binary exits 2, the same shape as the
+//! lint wall-time budget.
 //!
 //! Feasibility (partition + channel assignment) is pre-flighted
 //! serially per row before any mission spawns, so an infeasible row
@@ -162,9 +164,12 @@ fn sweep_row(scene: &Scene, n: usize, pool: Pool) -> Result<Vec<String>, String>
     ])
 }
 
+/// A sweep's printed rows and its notes.
+type Sweep = (Vec<Vec<String>>, Vec<String>);
+
 /// The whole sweep at one pool width, stopping at the first infeasible
 /// row (later rows never spawn work).
-fn sweep(scene: &Scene, pool: Pool) -> (Vec<Vec<String>>, Vec<String>) {
+fn sweep(scene: &Scene, pool: Pool) -> Sweep {
     let mut rows = Vec::new();
     let mut notes = Vec::new();
     for n in FLEETS {
@@ -184,24 +189,34 @@ fn main() {
     let scene = Scene::paper_building();
     let workers = global_workers();
 
-    // Serial pass: 1 worker everywhere, including the per-step RF
-    // traces inside the missions.
-    set_global_workers(1);
-    let t0 = Instant::now();
-    let (serial_rows, serial_notes) = sweep(&scene, Pool::serial());
-    let serial_s = t0.elapsed().as_secs_f64();
-
-    // Parallel pass: full width everywhere. Identical bytes required.
-    set_global_workers(workers);
-    let t1 = Instant::now();
-    let (parallel_rows, parallel_notes) = sweep(&scene, Pool::new(workers));
-    let parallel_s = t1.elapsed().as_secs_f64();
-
-    assert_eq!(
-        serial_rows, parallel_rows,
-        "the parallel sweep must be bit-identical to the serial one"
-    );
-    assert_eq!(serial_notes, parallel_notes);
+    // ABBA passes: serial (1 worker everywhere, including the per-step
+    // RF traces inside the missions), parallel (full width), parallel,
+    // serial. Each mode's time is the mean of its two passes.
+    let (mut serial_s, mut parallel_s) = (0.0, 0.0);
+    let mut passes: Vec<Sweep> = Vec::new();
+    for parallel in [false, true, true, false] {
+        let (pool, width) = if parallel {
+            (Pool::new(workers), workers)
+        } else {
+            (Pool::serial(), 1)
+        };
+        set_global_workers(width);
+        let t = Instant::now();
+        passes.push(sweep(&scene, pool));
+        let mean_share = t.elapsed().as_secs_f64() / 2.0;
+        if parallel {
+            parallel_s += mean_share;
+        } else {
+            serial_s += mean_share;
+        }
+    }
+    let (rows, notes) = &passes[0];
+    for pass in &passes[1..] {
+        assert_eq!(
+            pass, &passes[0],
+            "every pass must be bit-identical to the first (serial) one"
+        );
+    }
 
     let mut table = Table::new(
         "ext — fleet scaling, multi-warehouse campaigns (8-relay sites), 10240 tags/row",
@@ -218,10 +233,10 @@ fn main() {
             "min margin (dB)",
         ],
     );
-    for row in &serial_rows {
+    for row in rows {
         table.row(row);
     }
-    for note in &serial_notes {
+    for note in notes {
         println!("{note}");
     }
     bench.table("main", table, true);
@@ -232,9 +247,9 @@ fn main() {
         .unwrap_or(1);
     let gated = cores >= GATE_MIN_CORES;
     println!(
-        "\nsweep wall-clock: serial {serial_s:.2} s, 1 worker; parallel {parallel_s:.2} s, \
-         {workers} worker(s) ({speedup:.2}x, rows bit-identical; RFLY_THREADS overrides the width \
-         — results are identical at any value)"
+        "\nsweep wall-clock, mean of 2 passes each (ABBA order): serial {serial_s:.2} s, 1 worker; \
+         parallel {parallel_s:.2} s, {workers} worker(s) ({speedup:.2}x, rows bit-identical across \
+         all 4 passes; RFLY_THREADS overrides the width — results are identical at any value)"
     );
     bench.metric("serial_s", serial_s); // rfly-lint: allow(determinism-taint) -- wall-time IS the measurement here; the report tolerates jitter in these fields.
     bench.metric("parallel_s", parallel_s); // rfly-lint: allow(determinism-taint) -- wall-time IS the measurement here; the report tolerates jitter in these fields.

@@ -152,6 +152,12 @@ impl PassiveTag {
     pub fn powered(&self) -> bool {
         self.harvester.powered()
     }
+
+    /// Whether steady illumination at `incident` keeps this tag's chip
+    /// running (no state change).
+    pub fn sustains(&self, incident: Dbm) -> bool {
+        self.harvester.sustains(incident)
+    }
 }
 
 #[cfg(test)]

@@ -99,6 +99,14 @@ echo "== fleet scaling sweep (work-pool determinism + speedup gate; DESIGN.md §
 # and records the metrics in results/bench/BENCH_report.json.
 cargo run --release --offline -p rfly-bench --bin ext_fleet_scaling | tail -3
 
+echo "== benchmark self-check (perfbench fleet-inventory, traced; perfbench/README.md) =="
+# Flies the BENCHMARK.json fleet-inventory workload for 5 s with the
+# per-layer trace on. Every operation's outcome is checked and the
+# traced loop must reproduce run_mission's outcome exactly; a failed
+# check, a traced/untraced mismatch, or a panic exits non-zero.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload fleet-inventory --seed 1 --seconds 5 --trace 1 | tail -1
+
 echo "== crash matrix (every storage op x every fault mode; DESIGN.md §14) =="
 # Crashes every storage operation of the journaled mission and the
 # stored campaign in every fault mode (torn / lost-acked / duplicated /
