@@ -21,9 +21,13 @@
 //!
 //! Everything here runs on the substrates in `rfly-dsp`,
 //! `rfly-channel`, `rfly-protocol`, `rfly-tag` and `rfly-reader`.
+//! Grid searches fan out over the deterministic work [`pool`], which
+//! every higher crate (the mission engine in `rfly-sim` included)
+//! shares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod loc;
+pub mod pool;
 pub mod relay;

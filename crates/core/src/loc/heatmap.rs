@@ -2,7 +2,10 @@
 
 use rfly_channel::geometry::Point2;
 
-/// A dense 2D grid of likelihood values.
+use crate::pool::Pool;
+
+/// A dense 2D grid of likelihood values (or, for the RSSI search,
+/// range-mismatch costs).
 #[derive(Debug, Clone)]
 pub struct Heatmap {
     origin: Point2,
@@ -26,6 +29,14 @@ impl Heatmap {
         }
     }
 
+    /// The zeroed grid a search over the rectangle `min..=max` scores:
+    /// cell (0,0) at `min`, and enough cells per axis that the last one
+    /// reaches `max`.
+    pub(crate) fn covering(min: Point2, max: Point2, resolution: f64) -> Self {
+        let cells = |lo: f64, hi: f64| ((hi - lo) / resolution).ceil() as usize + 1;
+        Self::new(min, resolution, cells(min.x, max.x), cells(min.y, max.y))
+    }
+
     /// Grid width in cells.
     pub fn nx(&self) -> usize {
         self.nx
@@ -43,10 +54,21 @@ impl Heatmap {
 
     /// The world position of cell `(ix, iy)`'s center.
     pub fn position(&self, ix: usize, iy: usize) -> Point2 {
-        Point2::new(
-            self.origin.x + ix as f64 * self.resolution,
-            self.origin.y + iy as f64 * self.resolution,
-        )
+        cell_center(self.origin, self.resolution, ix, iy)
+    }
+
+    /// Sets every cell to `score(position)`, one row per pool task,
+    /// written straight into this map's buffer. Each cell runs the same
+    /// expression as a serial loop would, so the map is bit-identical
+    /// at any pool width.
+    pub(crate) fn fill_on(&mut self, pool: &Pool, score: impl Fn(Point2) -> f64 + Sync) {
+        let (origin, resolution, nx) = (self.origin, self.resolution, self.nx);
+        pool.fill_chunked(&mut self.values, nx, |first, row| {
+            let iy = first / nx;
+            for (ix, v) in row.iter_mut().enumerate() {
+                *v = score(cell_center(origin, resolution, ix, iy));
+            }
+        });
     }
 
     /// Value at cell `(ix, iy)`.
@@ -117,6 +139,14 @@ impl Heatmap {
         }
         out
     }
+}
+
+/// The center of cell `(ix, iy)` on a grid anchored at `origin`.
+fn cell_center(origin: Point2, resolution: f64, ix: usize, iy: usize) -> Point2 {
+    Point2::new(
+        origin.x + ix as f64 * resolution,
+        origin.y + iy as f64 * resolution,
+    )
 }
 
 #[cfg(test)]

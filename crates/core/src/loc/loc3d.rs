@@ -8,7 +8,10 @@
 
 use rfly_channel::geometry::Point3;
 use rfly_dsp::units::Hertz;
-use rfly_dsp::{Complex, SPEED_OF_LIGHT};
+use rfly_dsp::Complex;
+
+use super::sar::Projection;
+use crate::pool::Pool;
 
 /// A 3D trajectory (positions with height).
 #[derive(Debug, Clone)]
@@ -77,31 +80,36 @@ pub struct Sar3Localizer {
 impl Sar3Localizer {
     /// `P(x, y, z)` at a single point.
     pub fn score_at(&self, p: Point3, trajectory: &Trajectory3, channels: &[Complex]) -> f64 {
-        assert_eq!(trajectory.len(), channels.len());
-        let k = std::f64::consts::TAU * self.frequency.as_hz() / SPEED_OF_LIGHT;
-        let mut acc = Complex::default();
-        for (pos, h) in trajectory.points().iter().zip(channels) {
-            acc += *h * Complex::cis(k * 2.0 * pos.distance(p));
-        }
-        acc.norm_sq()
+        Projection::new(self.frequency, trajectory.len(), channels)
+            .power(trajectory.points().iter().map(|pos| pos.distance(p)))
     }
 
     /// Exhaustive grid search; returns the maximizing point. Candidate
     /// peaks within 50 % of the maximum are filtered by
-    /// nearest-to-trajectory, mirroring the 2D rule.
+    /// nearest-to-trajectory, mirroring the 2D rule. The score volume
+    /// fills one x-row per task on the process-wide [`Pool`].
     pub fn localize(&self, trajectory: &Trajectory3, channels: &[Complex]) -> Option<Point3> {
+        self.localize_on(&Pool::global(), trajectory, channels)
+    }
+
+    /// [`Self::localize`] on an explicit pool.
+    pub(crate) fn localize_on(
+        &self,
+        pool: &Pool,
+        trajectory: &Trajectory3,
+        channels: &[Complex],
+    ) -> Option<Point3> {
         if channels.is_empty() || channels.iter().all(|h| h.norm_sq() == 0.0) {
             return None;
         }
+        let projection = Projection::new(self.frequency, trajectory.len(), channels);
+        let points = trajectory.points();
         let steps = |lo: f64, hi: f64| ((hi - lo) / self.resolution).ceil() as usize + 1;
         let (nx, ny, nz) = (
             steps(self.region_min.x, self.region_max.x),
             steps(self.region_min.y, self.region_max.y),
             steps(self.region_min.z, self.region_max.z),
         );
-        // Collect scores, track global max.
-        let mut scores = vec![0.0f64; nx * ny * nz];
-        let mut global = 0.0f64;
         let pos_of = |ix: usize, iy: usize, iz: usize| {
             Point3::new(
                 self.region_min.x + ix as f64 * self.resolution,
@@ -109,15 +117,15 @@ impl Sar3Localizer {
                 self.region_min.z + iz as f64 * self.resolution,
             )
         };
-        for iz in 0..nz {
-            for iy in 0..ny {
-                for ix in 0..nx {
-                    let s = self.score_at(pos_of(ix, iy, iz), trajectory, channels);
-                    global = global.max(s);
-                    scores[(iz * ny + iy) * nx + ix] = s;
-                }
+        let mut scores = vec![0.0f64; nx * ny * nz];
+        pool.fill_chunked(&mut scores, nx, |first, row| {
+            let (iy, iz) = ((first / nx) % ny, first / (nx * ny));
+            for (ix, v) in row.iter_mut().enumerate() {
+                let p = pos_of(ix, iy, iz);
+                *v = projection.power(points.iter().map(|pos| pos.distance(p)));
             }
-        }
+        });
+        let global = scores.iter().copied().fold(0.0f64, f64::max);
         if global <= 0.0 {
             return None;
         }
@@ -180,6 +188,7 @@ impl Sar3Localizer {
 mod tests {
     use super::*;
     use rfly_channel::geometry::Point2;
+    use rfly_dsp::SPEED_OF_LIGHT;
 
     const F2: Hertz = Hertz(917e6);
 
@@ -236,6 +245,46 @@ mod tests {
         let at_tag = loc.score_at(tag, &traj, &ch);
         assert!((at_tag - (traj.len() as f64).powi(2)).abs() < 1e-6);
         assert!(loc.score_at(Point3::new(0.1, 1.4, 0.9), &traj, &ch) < at_tag);
+    }
+
+    #[test]
+    fn estimate_is_the_same_at_any_pool_width() {
+        // The `planar_trajectory_fixes_3d_position` fixture, coarser:
+        // every width must land on the serial estimate, and the volume
+        // (nx = 21, ny = 21, nz = 11 rows of x) splits unevenly.
+        let traj = Trajectory3::lawnmower_at_height(
+            Point2::new(0.0, 0.0),
+            Point2::new(2.0, 2.0),
+            2.0,
+            13,
+            13,
+        );
+        let ch = channels_for(Point3::new(1.1, 0.8, 0.0), &traj);
+        let loc = Sar3Localizer {
+            frequency: F2,
+            region_min: Point3::new(0.0, 0.0, -0.5),
+            region_max: Point3::new(2.0, 2.0, 0.5),
+            resolution: 0.1,
+        };
+        let serial = loc.localize_on(&Pool::serial(), &traj, &ch);
+        assert!(serial.is_some());
+        for workers in [2, 3, 8] {
+            let got = loc.localize_on(&Pool::new(workers), &traj, &ch);
+            assert_eq!(got, serial, "width {workers}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one channel per trajectory position")]
+    fn mismatched_lengths_rejected() {
+        let traj = Trajectory3::from_points(vec![Point3::ORIGIN, Point3::new(1.0, 0.0, 0.0)]);
+        let loc = Sar3Localizer {
+            frequency: F2,
+            region_min: Point3::ORIGIN,
+            region_max: Point3::new(1.0, 1.0, 1.0),
+            resolution: 0.5,
+        };
+        let _ = loc.localize_on(&Pool::new(4), &traj, &[Complex::new(1.0, 0.0)]);
     }
 
     #[test]

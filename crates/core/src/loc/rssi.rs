@@ -13,10 +13,12 @@
 //! corrupts it, whereas phase turns over every 16 cm.
 
 use rfly_channel::geometry::Point2;
-use rfly_dsp::units::{Hertz, Meters};
-use rfly_dsp::{Complex, SPEED_OF_LIGHT};
+use rfly_dsp::units::Hertz;
+use rfly_dsp::Complex;
 
+use super::heatmap::Heatmap;
 use super::trajectory::Trajectory;
+use crate::pool::Pool;
 
 /// RSSI multilateration over a grid.
 #[derive(Debug, Clone)]
@@ -48,18 +50,20 @@ impl RssiLocalizer {
         Some((self.reference_amplitude_1m / a).sqrt())
     }
 
-    /// The free-space round-trip amplitude at distance `d` (the forward
-    /// model inverted by [`Self::distance_from_amplitude`]): round-trip
-    /// amplitude decays as 1/d², normalized to the 1 m reference.
-    /// Distances below a wavelength are clamped (near field).
-    pub fn amplitude_at(&self, d: Meters) -> f64 {
-        let lambda = SPEED_OF_LIGHT / self.frequency.as_hz();
-        let d = d.value().max(lambda);
-        self.reference_amplitude_1m / (d * d)
-    }
-
     /// Localizes by minimizing Σ (dist(p, traj_l) − d_l)² over the grid.
     pub fn localize(&self, trajectory: &Trajectory, channels: &[Complex]) -> Option<Point2> {
+        self.localize_on(&Pool::global(), trajectory, channels)
+    }
+
+    /// [`Self::localize`] on an explicit pool: the costs fill one row per
+    /// task, then a serial row-major scan keeps the first strict
+    /// minimum, so ties resolve as a serial search would.
+    pub(crate) fn localize_on(
+        &self,
+        pool: &Pool,
+        trajectory: &Trajectory,
+        channels: &[Complex],
+    ) -> Option<Point2> {
         assert_eq!(trajectory.len(), channels.len());
         let ranges: Vec<(Point2, f64)> = trajectory
             .points()
@@ -70,25 +74,20 @@ impl RssiLocalizer {
         if ranges.is_empty() {
             return None;
         }
-        let nx = ((self.region_max.x - self.region_min.x) / self.resolution).ceil() as usize + 1;
-        let ny = ((self.region_max.y - self.region_min.y) / self.resolution).ceil() as usize + 1;
+        let mut costs = Heatmap::covering(self.region_min, self.region_max, self.resolution);
+        costs.fill_on(pool, |p| {
+            ranges
+                .iter()
+                .map(|(t, d)| {
+                    let e = t.distance(p) - d;
+                    e * e
+                })
+                .sum()
+        });
         let mut best = (Point2::ORIGIN, f64::MAX);
-        for iy in 0..ny {
-            for ix in 0..nx {
-                let p = Point2::new(
-                    self.region_min.x + ix as f64 * self.resolution,
-                    self.region_min.y + iy as f64 * self.resolution,
-                );
-                let cost: f64 = ranges
-                    .iter()
-                    .map(|(t, d)| {
-                        let e = t.distance(p) - d;
-                        e * e
-                    })
-                    .sum();
-                if cost < best.1 {
-                    best = (p, cost);
-                }
+        for (_, _, p, cost) in costs.iter() {
+            if cost < best.1 {
+                best = (p, cost);
             }
         }
         Some(best.0)
@@ -171,6 +170,82 @@ mod tests {
         let err = est.distance(tag);
         assert!(err > 0.1, "RSSI should be visibly hurt (err {err})");
         assert!(err < 2.5, "but not absurd (err {err})");
+    }
+
+    /// The serial search `localize` ran before it filled its costs on
+    /// the pool: one row-major pass, first strict minimum wins.
+    fn serial_reference(loc: &RssiLocalizer, traj: &Trajectory, ch: &[Complex]) -> Point2 {
+        let ranges: Vec<(Point2, f64)> = traj
+            .points()
+            .iter()
+            .zip(ch)
+            .filter_map(|(p, h)| loc.distance_from_amplitude(*h).map(|d| (*p, d)))
+            .collect();
+        let nx = ((loc.region_max.x - loc.region_min.x) / loc.resolution).ceil() as usize + 1;
+        let ny = ((loc.region_max.y - loc.region_min.y) / loc.resolution).ceil() as usize + 1;
+        let mut best = (Point2::ORIGIN, f64::MAX);
+        for iy in 0..ny {
+            for ix in 0..nx {
+                let p = Point2::new(
+                    loc.region_min.x + ix as f64 * loc.resolution,
+                    loc.region_min.y + iy as f64 * loc.resolution,
+                );
+                let cost: f64 = ranges
+                    .iter()
+                    .map(|(t, d)| {
+                        let e = t.distance(p) - d;
+                        e * e
+                    })
+                    .sum();
+                if cost < best.1 {
+                    best = (p, cost);
+                }
+            }
+        }
+        best.0
+    }
+
+    #[test]
+    fn estimate_matches_the_serial_search_at_any_width() {
+        let loc = localizer();
+        let traj = Trajectory::line(Point2::new(0.0, 0.0), Point2::new(2.5, 0.0), 26);
+        let clean = channels_for(Point2::new(1.2, 1.5), &traj, &loc);
+        let faded: Vec<Complex> = clean
+            .iter()
+            .enumerate()
+            .map(|(i, h)| *h * if i < 13 { 1.41 } else { 0.71 })
+            .collect();
+        for ch in [clean, faded] {
+            let reference = serial_reference(&loc, &traj, &ch);
+            for workers in [1, 2, 3, 8] {
+                let got = loc.localize_on(&Pool::new(workers), &traj, &ch);
+                assert_eq!(got, Some(reference), "width {workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn tied_cells_resolve_to_the_first_in_row_major_order() {
+        // One range of exactly 0.5 m from the origin: cell (i, j) and
+        // its mirror (j, i) cost the same, so every minimum is tied and
+        // the serial scan keeps the one in the lower row (y < x).
+        let loc = RssiLocalizer {
+            region_min: Point2::ORIGIN,
+            region_max: Point2::new(1.0, 1.0),
+            reference_amplitude_1m: 1.0,
+            ..localizer()
+        };
+        let traj = Trajectory::from_points(vec![Point2::ORIGIN]);
+        let ch = [Complex::new(4.0, 0.0)];
+        let reference = serial_reference(&loc, &traj, &ch);
+        assert!(reference.y < reference.x, "{reference}");
+        for workers in [1, 2, 3, 8] {
+            assert_eq!(
+                loc.localize_on(&Pool::new(workers), &traj, &ch),
+                Some(reference),
+                "width {workers}"
+            );
+        }
     }
 
     #[test]

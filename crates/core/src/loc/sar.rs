@@ -20,6 +20,44 @@ use rfly_dsp::{Complex, SPEED_OF_LIGHT};
 
 use super::heatmap::Heatmap;
 use super::trajectory::Trajectory;
+use crate::pool::Pool;
+
+/// Eq. 12's matched filter with its per-search invariants hoisted: the
+/// length check and the round-trip wavenumber run once per search, not
+/// once per cell. Shared by the 2D and 3D grid searches.
+pub(crate) struct Projection<'a> {
+    /// `2k = 2 · 2π·f₂ / c`, the round-trip phase per meter.
+    two_k: f64,
+    channels: &'a [Complex],
+}
+
+impl<'a> Projection<'a> {
+    /// Panics unless there is one channel per trajectory position.
+    pub(crate) fn new(frequency: Hertz, positions: usize, channels: &'a [Complex]) -> Self {
+        assert_eq!(
+            positions,
+            channels.len(),
+            "one channel per trajectory position"
+        );
+        let k = std::f64::consts::TAU * frequency.as_hz() / SPEED_OF_LIGHT;
+        // `k * 2.0 * d` evaluates as `(k * 2.0) * d`, so hoisting the
+        // product leaves every phase bit-identical.
+        Self {
+            two_k: k * 2.0,
+            channels,
+        }
+    }
+
+    /// `P = |Σ_l h'_l · e^{j·2k·d_l}|²` for the distances `d_l` from
+    /// each trajectory position (in trajectory order) to the candidate.
+    pub(crate) fn power(&self, distances: impl Iterator<Item = f64>) -> f64 {
+        let mut acc = Complex::default();
+        for (d, h) in distances.zip(self.channels) {
+            acc += *h * Complex::cis(self.two_k * d);
+        }
+        acc.norm_sq()
+    }
+}
 
 /// Grid-search SAR localizer.
 #[derive(Debug, Clone)]
@@ -52,31 +90,30 @@ impl SarLocalizer {
     /// The matched-filter score at a single point — `P(x, y)` for one
     /// candidate.
     pub fn score_at(&self, p: Point2, trajectory: &Trajectory, channels: &[Complex]) -> f64 {
-        assert_eq!(
-            trajectory.len(),
-            channels.len(),
-            "one channel per trajectory position"
-        );
-        let k = std::f64::consts::TAU * self.frequency.as_hz() / SPEED_OF_LIGHT;
-        let mut acc = Complex::default();
-        for (pos, h) in trajectory.points().iter().zip(channels) {
-            let d = pos.distance(p);
-            acc += *h * Complex::cis(k * 2.0 * d);
-        }
-        acc.norm_sq()
+        Projection::new(self.frequency, trajectory.len(), channels)
+            .power(trajectory.points().iter().map(|pos| pos.distance(p)))
     }
 
-    /// Evaluates `P(x, y)` over the whole grid.
+    /// Evaluates `P(x, y)` over the whole grid, one row per task on the
+    /// process-wide [`Pool`]. Every cell is the [`Self::score_at`]
+    /// expression, so the map is bit-identical at any pool width.
     pub fn heatmap(&self, trajectory: &Trajectory, channels: &[Complex]) -> Heatmap {
-        let nx = ((self.region_max.x - self.region_min.x) / self.resolution).ceil() as usize + 1;
-        let ny = ((self.region_max.y - self.region_min.y) / self.resolution).ceil() as usize + 1;
-        let mut map = Heatmap::new(self.region_min, self.resolution, nx, ny);
-        for iy in 0..ny {
-            for ix in 0..nx {
-                let p = map.position(ix, iy);
-                map.set(ix, iy, self.score_at(p, trajectory, channels));
-            }
-        }
+        self.heatmap_on(&Pool::global(), trajectory, channels)
+    }
+
+    /// [`Self::heatmap`] on an explicit pool.
+    pub(crate) fn heatmap_on(
+        &self,
+        pool: &Pool,
+        trajectory: &Trajectory,
+        channels: &[Complex],
+    ) -> Heatmap {
+        let projection = Projection::new(self.frequency, trajectory.len(), channels);
+        let points = trajectory.points();
+        let mut map = Heatmap::covering(self.region_min, self.region_max, self.resolution);
+        map.fill_on(pool, |p| {
+            projection.power(points.iter().map(|pos| pos.distance(p)))
+        });
         map
     }
 
@@ -244,6 +281,89 @@ mod tests {
         let traj = Trajectory::line(Point2::new(0.0, 0.0), Point2::new(1.0, 0.0), 11);
         let ch = vec![Complex::default(); 11];
         assert!(localizer().localize(&traj, &ch).is_none());
+    }
+
+    /// The serial grid loop `heatmap` ran before it filled rows on the
+    /// pool, with the per-cell expression written out as it was then
+    /// (wavenumber recomputed per cell, `k * 2.0 * d`).
+    fn serial_reference(loc: &SarLocalizer, traj: &Trajectory, ch: &[Complex]) -> Heatmap {
+        let nx = ((loc.region_max.x - loc.region_min.x) / loc.resolution).ceil() as usize + 1;
+        let ny = ((loc.region_max.y - loc.region_min.y) / loc.resolution).ceil() as usize + 1;
+        let mut map = Heatmap::new(loc.region_min, loc.resolution, nx, ny);
+        for iy in 0..ny {
+            for ix in 0..nx {
+                let p = map.position(ix, iy);
+                let k = std::f64::consts::TAU * loc.frequency.as_hz() / SPEED_OF_LIGHT;
+                let mut acc = Complex::default();
+                for (pos, h) in traj.points().iter().zip(ch) {
+                    let d = pos.distance(p);
+                    acc += *h * Complex::cis(k * 2.0 * d);
+                }
+                map.set(ix, iy, acc.norm_sq());
+            }
+        }
+        map
+    }
+
+    fn assert_bit_identical(got: &Heatmap, want: &Heatmap, what: &str) {
+        assert_eq!((got.nx(), got.ny()), (want.nx(), want.ny()), "{what}");
+        for ((ix, iy, _, g), (_, _, _, w)) in got.iter().zip(want.iter()) {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: cell ({ix}, {iy})");
+        }
+    }
+
+    #[test]
+    fn heatmap_is_bit_identical_to_the_serial_loop_at_any_width() {
+        let traj = Trajectory::line(Point2::new(-0.25, 0.0), Point2::new(2.75, 0.0), 61);
+        let ch = channels_for(Point2::new(1.3, 1.2), &traj);
+        let base = localizer();
+        let grids = [
+            // 176 × 176 cells.
+            base.clone(),
+            // 29 × 7: 7 rows split unevenly over widths 2, 3 and 8.
+            SarLocalizer::new(F2, Point2::new(0.5, 0.9), Point2::new(1.9, 1.2), 0.05),
+            // nx == 1: a single column.
+            SarLocalizer {
+                region_max: Point2::new(base.region_min.x, 3.0),
+                ..base.clone()
+            },
+            // ny == 1: a single row, one task.
+            SarLocalizer {
+                region_max: Point2::new(3.0, base.region_min.y),
+                ..base.clone()
+            },
+        ];
+        for loc in &grids {
+            let want = serial_reference(loc, &traj, &ch);
+            for workers in [1, 2, 3, 8] {
+                let got = loc.heatmap_on(&Pool::new(workers), &traj, &ch);
+                let what = format!("{} x {} at width {workers}", want.nx(), want.ny());
+                assert_bit_identical(&got, &want, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn public_heatmap_follows_the_global_width() {
+        let traj = Trajectory::line(Point2::new(0.0, 0.0), Point2::new(2.0, 0.0), 21);
+        let ch = channels_for(Point2::new(1.0, 1.0), &traj);
+        let loc = SarLocalizer::new(F2, Point2::new(0.0, 0.1), Point2::new(2.0, 2.0), 0.05);
+        let want = serial_reference(&loc, &traj, &ch);
+        let _guard = crate::pool::TEST_WIDTH_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        for workers in [1, 3] {
+            crate::pool::set_global_workers(workers);
+            assert_bit_identical(&loc.heatmap(&traj, &ch), &want, "global width");
+        }
+        crate::pool::reset_global_workers();
+    }
+
+    #[test]
+    #[should_panic(expected = "one channel per trajectory position")]
+    fn mismatched_heatmap_input_panics_with_the_serial_message() {
+        let traj = Trajectory::line(Point2::new(0.0, 0.0), Point2::new(1.0, 0.0), 5);
+        let _ = localizer().heatmap_on(&Pool::new(4), &traj, &[Complex::default()]);
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! [`Pool::map`] re-raises the original payload so a panic propagates
 //! exactly as it would have on the serial path.
 //!
+//! [`Pool::fill_chunked`] is the in-place form: each task writes one
+//! disjoint chunk of a caller-owned `&mut [T]` (the SAR heatmap fills
+//! its own value buffer one row per task), so nothing is copied.
+//!
 //! The worker count resolves, in order: an explicit [`Pool::new`]
 //! argument, the `RFLY_THREADS` environment override, a process-wide
 //! [`set_global_workers`] (tests/benches), or the machine's available
@@ -25,6 +29,7 @@
 //! above, any value is safe — only wall-clock changes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Upper clamp on the resolved worker count: beyond this, spawn and
 /// merge overhead outweighs any propagation win on the workloads the
@@ -39,7 +44,7 @@ static GLOBAL_WORKERS: AtomicUsize = AtomicUsize::new(0);
 /// Serializes tests that assert on the process-global width (results
 /// never race — see the contract — but read-back assertions would).
 #[cfg(test)]
-pub(crate) static TEST_WIDTH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+pub(crate) static TEST_WIDTH_LOCK: Mutex<()> = Mutex::new(());
 
 /// Clears the override back to environment resolution (tests only).
 #[cfg(test)]
@@ -295,6 +300,36 @@ impl Pool {
         }
         out
     }
+
+    /// Fills `out` in place, in contiguous chunks of at most `chunk`
+    /// items: chunk `c` is one task, `fill(c * chunk, chunk_slice)`,
+    /// where the first argument is the index in `out` of the slice's
+    /// first item. Every chunk is written by exactly one task and
+    /// nothing is copied, so `out` ends up as the serial loop leaves it
+    /// at any width. Built on [`Self::run`]: panics re-raise like
+    /// [`Self::map`] and obs records merge in chunk order.
+    pub fn fill_chunked<T, F>(&self, out: &mut [T], chunk: usize, fill: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        let chunk = chunk.max(1);
+        // One slot per chunk, taken once by its own task: the locks are
+        // never contended, they only let a shared closure hand out
+        // disjoint `&mut` chunks. Nothing but `take` runs under a lock,
+        // so a poisoned slot still holds a valid value.
+        let slots: Vec<Mutex<Option<&mut [T]>>> =
+            out.chunks_mut(chunk).map(|c| Mutex::new(Some(c))).collect();
+        self.map(slots.len(), |c| {
+            let taken = slots
+                .get(c)
+                .and_then(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).take());
+            // Always `Some`: the pool runs each task index exactly once.
+            if let Some(slice) = taken {
+                fill(c * chunk, slice);
+            }
+        });
+    }
 }
 
 #[cfg(test)]
@@ -351,6 +386,20 @@ mod tests {
     }
 
     #[test]
+    fn caller_keeps_its_recorder_when_a_task_panics() {
+        // Every task panics while a child recorder is installed on its
+        // worker; the instrumented caller's own stream must survive.
+        rfly_obs::install(rfly_obs::Recorder::new("pool-caller"));
+        rfly_obs::counter_add("before", 1);
+        let r = Pool::new(2).run(8, |i| -> usize { panic!("task {i}") });
+        assert!(r.is_err(), "panic was swallowed");
+        rfly_obs::counter_add("after", 1);
+        let rec = rfly_obs::take().unwrap_or_else(|| panic!("caller lost its recorder"));
+        assert_eq!(rec.counters.get("before"), Some(&1));
+        assert_eq!(rec.counters.get("after"), Some(&1));
+    }
+
+    #[test]
     fn map_reraises_the_original_payload() {
         let caught = std::panic::catch_unwind(|| {
             Pool::new(4).map(8, |i| {
@@ -373,6 +422,71 @@ mod tests {
         for (workers, chunk) in [(1, 7), (4, 7), (8, 1), (3, 64)] {
             let got = Pool::new(workers).map_chunked(50, chunk, |r| r.map(|i| i * i).collect());
             assert_eq!(got, reference, "width {workers} chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn chunked_fill_writes_every_item_in_place_at_any_width() {
+        let reference: Vec<usize> = (0..50).map(|i| i * i).collect();
+        for (workers, chunk) in [(1, 7), (2, 7), (3, 10), (8, 1), (4, 64), (2, 0)] {
+            let mut out = vec![0usize; 50];
+            Pool::new(workers).fill_chunked(&mut out, chunk, |first, slice| {
+                for (j, v) in slice.iter_mut().enumerate() {
+                    *v = (first + j) * (first + j);
+                }
+            });
+            assert_eq!(out, reference, "width {workers} chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn chunked_fill_of_an_empty_slice_runs_no_task() {
+        let mut out: Vec<u8> = Vec::new();
+        Pool::new(8).fill_chunked(&mut out, 4, |_, _| panic!("no chunk to fill"));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn chunked_fill_reraises_the_original_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            let mut out = vec![0u32; 40];
+            Pool::new(4).fill_chunked(&mut out, 5, |first, _| {
+                if first == 15 {
+                    panic!("chunk at {first} exploded");
+                }
+            });
+        });
+        let payload = match caught {
+            Ok(()) => panic!("panic was swallowed"),
+            Err(p) => p,
+        };
+        assert_eq!(panic_text(payload.as_ref()), "chunk at 15 exploded");
+    }
+
+    #[test]
+    fn chunked_fill_obs_streams_are_identical_at_any_width() {
+        use rfly_dsp::units::Db;
+        let fly = |workers: usize| {
+            rfly_obs::install(rfly_obs::Recorder::new("fill-obs"));
+            let mut out = vec![0.0f64; 23];
+            Pool::new(workers).fill_chunked(&mut out, 4, |first, slice| {
+                rfly_obs::counter_add("fill.chunks", 1);
+                for (j, v) in slice.iter_mut().enumerate() {
+                    *v = (first + j) as f64 / 3.0;
+                    rfly_obs::observe_db("fill.metric", Db::new(*v));
+                }
+            });
+            match rfly_obs::take() {
+                Some(rec) => (out, rec),
+                None => panic!("recorder vanished"),
+            }
+        };
+        let (serial_out, serial) = fly(1);
+        assert_eq!(serial.counters["fill.chunks"], 6);
+        for workers in [2, 3, 8] {
+            let (out, rec) = fly(workers);
+            assert_eq!(out, serial_out, "width {workers}");
+            assert_eq!(rec, serial, "width {workers}");
         }
     }
 

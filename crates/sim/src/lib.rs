@@ -21,7 +21,6 @@ pub mod fleet;
 pub mod medium;
 pub mod metrics;
 pub mod motion;
-pub mod pool;
 pub mod report;
 pub mod sample_link;
 pub mod scene;
@@ -31,6 +30,10 @@ pub mod world;
 pub use endtoend::{Scenario, ScenarioBuilder, ScenarioOutcome};
 pub use fleet::{FleetMedium, FleetRelay};
 pub use medium::{FleetRf, WorldMedium};
-pub use pool::{global_workers, set_global_workers, Pool, PoolError};
+/// The deterministic work pool lives in `rfly-core` (the lowest crate
+/// that fans work out); re-exported here so every caller reaches the
+/// same process-wide width.
+pub use rfly_core::pool;
+pub use rfly_core::pool::{global_workers, set_global_workers, Pool, PoolError};
 pub use scene::Scene;
 pub use world::PhasorWorld;

@@ -848,12 +848,11 @@ mod tests {
     }
 
     /// Tracing is byte-identical at any pool worker count, including
-    /// past the parallel threshold.
+    /// past the parallel threshold. The only test in this crate that
+    /// changes the global width, so it restores the width it found.
     #[test]
     fn trace_is_worker_count_invariant() {
-        let _guard = crate::pool::TEST_WIDTH_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let before = crate::pool::global_workers();
         let fleet = fleet_of_three();
         let w = world_with_tags(PAR_MIN_TAGS + 33, 13);
         let reference = {
@@ -865,7 +864,7 @@ mod tests {
             let got = format!("{:?}", FleetRf::trace(&w, fleet.clone()));
             assert_eq!(got, reference, "{workers} workers");
         }
-        crate::pool::reset_global_workers();
+        crate::pool::set_global_workers(before);
     }
 
     /// The h1-only probe agrees with the full medium's gate in both a

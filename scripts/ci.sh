@@ -107,6 +107,14 @@ echo "== benchmark self-check (perfbench fleet-inventory, traced; perfbench/READ
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload fleet-inventory --seed 1 --seconds 5 --trace 1 | tail -1
 
+echo "== benchmark self-check (perfbench sar-localize, traced; DESIGN.md §15.4) =="
+# Flies the sar-localize workload for 5 s with the trace on, with the
+# heatmap rows fanned over the pool at width 2. An estimate outside
+# the search region, a traced fix that differs from
+# SarLocalizer::localize's, or a panic exits non-zero.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload sar-localize --seed 1 --seconds 5 --trace 1 | tail -1
+
 echo "== crash matrix (every storage op x every fault mode; DESIGN.md §14) =="
 # Crashes every storage operation of the journaled mission and the
 # stored campaign in every fault mode (torn / lost-acked / duplicated /
