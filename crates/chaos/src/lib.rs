@@ -19,6 +19,8 @@
 //!   (a byte prefix of the final sequence survives), a lost-but-acked
 //!   write (the caller saw success, the medium kept nothing), a
 //!   duplicated append, or a clean cut after the op landed.
+//! * [`durable`] — the one durable-log engine (append, checkpoint,
+//!   salvage, verified re-drive) the replay journal and ops log run on.
 //! * [`verify`] — the crash-matrix driver: enumerate a crash point at
 //!   *every* mutating storage call site of a workload × every fault
 //!   kind, run the workload into each crash, hand the surviving bytes
@@ -34,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod durable;
 pub mod fault;
 pub mod storage;
 pub mod verify;

@@ -96,11 +96,6 @@ impl MemStorage {
         &self.files
     }
 
-    /// Total bytes across all files.
-    pub fn total_bytes(&self) -> usize {
-        self.files.values().map(Vec::len).sum()
-    }
-
     /// A human-readable diff of the first mismatching file against
     /// `other`, or `None` when bit-identical — the crash matrix's
     /// failure detail.

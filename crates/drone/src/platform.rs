@@ -7,8 +7,6 @@
 //! DC-DC converter to the relay's 5.5 V rail, under 3 % of the
 //! battery's 21.6 A rating.
 
-use rfly_dsp::units::Db;
-
 /// A carrier vehicle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
@@ -112,14 +110,6 @@ impl RelayPayload {
 /// A commercial handheld reader payload, for the §3 comparison.
 pub fn commercial_reader_mass_g() -> f64 {
     500.0
-}
-
-/// Extra link margin available to a relay because the platform powers
-/// it: the relay can afford active gain instead of passive reflection.
-/// (Convenience used in documentation/examples; the real gain numbers
-/// come from the §6.1 allocator.)
-pub fn powered_relay_advantage() -> Db {
-    Db::new(30.0)
 }
 
 #[cfg(test)]

@@ -158,12 +158,6 @@ impl BiquadCascade {
         Self { sections }
     }
 
-    /// Wraps explicit sections.
-    pub fn from_sections(sections: Vec<Biquad>) -> Self {
-        assert!(!sections.is_empty(), "cascade needs at least one section");
-        Self { sections }
-    }
-
     /// Number of biquad sections.
     pub fn order(&self) -> usize {
         self.sections.len() * 2

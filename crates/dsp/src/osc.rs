@@ -206,12 +206,6 @@ impl Synthesizer {
     pub fn lo_at(&mut self, n: usize) -> Complex {
         Complex::cis(self.phase_at(n))
     }
-
-    /// Generates the LO block covering sample indices
-    /// `[start, start + len)`.
-    pub fn lo_block(&mut self, start: usize, len: usize) -> Vec<Complex> {
-        (start..start + len).map(|n| self.lo_at(n)).collect()
-    }
 }
 
 /// Gaussian random-walk extension helper, kept in a private module so the

@@ -1,5 +1,6 @@
 //! The stable line-oriented text codec shared by fault schedules,
-//! resilience logs, and the `rfly-replay` mission journal.
+//! resilience logs, the `rfly-replay` mission journal, and the world
+//! half of every checkpoint.
 //!
 //! Design rules, in order of priority:
 //!
@@ -20,6 +21,7 @@
 use std::fmt;
 
 use rfly_protocol::epc::Epc;
+use rfly_sim::world::{TagSnapshot, WorldSnapshot};
 
 /// A parse failure: which line, and what was wrong with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -205,6 +207,87 @@ impl<'a> Fields<'a> {
                 format!("trailing token {t:?}"),
             )),
         }
+    }
+}
+
+fn rng_hex(words: [u64; 4]) -> String {
+    format!(
+        "{:x},{:x},{:x},{:x}",
+        words[0], words[1], words[2], words[3]
+    )
+}
+
+fn parse_rng_hex(f: &mut Fields<'_>, key: &str) -> Result<[u64; 4], ParseError> {
+    let v = f.kv(key)?;
+    let words: Result<Vec<u64>, _> = v.split(',').map(|w| u64::from_str_radix(w, 16)).collect();
+    words
+        .ok()
+        .and_then(|w| <[u64; 4]>::try_from(w).ok())
+        .ok_or_else(|| f.error(format!("{key} needs 4 comma-joined hex words, found {v:?}")))
+}
+
+fn parse_hex_u8(f: &mut Fields<'_>, key: &str) -> Result<u8, ParseError> {
+    let v = f.kv(key)?;
+    u8::from_str_radix(v, 16).map_err(|_| f.error(format!("bad {key} {v:?}")))
+}
+
+/// The `world` line and one `wtag` line per tag that every checkpoint
+/// format carries for a [`WorldSnapshot`]: RNG stream states and
+/// persistent Gen2 flags, in hex.
+pub fn world_lines(world: &WorldSnapshot) -> String {
+    let mut s = format!(
+        "world rng={} embrng={} embflags={:x}\n",
+        rng_hex(world.rng),
+        rng_hex(world.embedded_rng),
+        world.embedded_flags,
+    );
+    for t in &world.tags {
+        s.push_str(&format!(
+            "wtag {} rng={} flags={:x}\n",
+            epc_hex(t.epc),
+            rng_hex(t.rng),
+            t.flags,
+        ));
+    }
+    s
+}
+
+/// Collects the [`world_lines`] records of a checkpoint being parsed.
+#[derive(Debug, Default)]
+pub struct WorldLines {
+    head: Option<([u64; 4], [u64; 4], u8)>,
+    tags: Vec<TagSnapshot>,
+}
+
+impl WorldLines {
+    /// Parses one `world` or `wtag` record (`tag`), with `f` already
+    /// past the record tag.
+    pub fn record(&mut self, tag: &str, mut f: Fields<'_>) -> Result<(), ParseError> {
+        if tag == "world" {
+            let rng = parse_rng_hex(&mut f, "rng")?;
+            let embedded_rng = parse_rng_hex(&mut f, "embrng")?;
+            let embedded_flags = parse_hex_u8(&mut f, "embflags")?;
+            self.head = Some((rng, embedded_rng, embedded_flags));
+        } else {
+            let epc = f.epc("EPC")?;
+            let rng = parse_rng_hex(&mut f, "rng")?;
+            let flags = parse_hex_u8(&mut f, "flags")?;
+            self.tags.push(TagSnapshot { epc, rng, flags });
+        }
+        f.finish()
+    }
+
+    /// The parsed snapshot; `Err` when no `world` line was seen.
+    pub fn finish(self) -> Result<WorldSnapshot, ParseError> {
+        let (rng, embedded_rng, embedded_flags) = self
+            .head
+            .ok_or_else(|| ParseError::new(0, "missing world line"))?;
+        Ok(WorldSnapshot {
+            rng,
+            embedded_rng,
+            embedded_flags,
+            tags: self.tags,
+        })
     }
 }
 

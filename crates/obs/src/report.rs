@@ -137,8 +137,9 @@ impl<'a> Report<'a> {
     }
 }
 
-/// JSON string literal with escaping.
-fn json_str(s: &str) -> String {
+/// JSON string literal with escaping — the one JSON string emitter the
+/// workspace's reports (obs and bench) share.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -158,7 +159,7 @@ fn json_str(s: &str) -> String {
 
 /// JSON float: shortest round-trip for finite values, quoted otherwise
 /// (JSON has no inf/nan literals).
-fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

@@ -1,33 +1,23 @@
 //! Crash-consistent campaign persistence: resume-after-power-loss for
-//! the continuous-operation loop.
-//!
-//! A long campaign is exactly the workload that meets a power loss —
-//! hours of simulated duty cycles, dock rotations mid-swap, inventory
-//! state accumulated over thousands of ticks. This module makes the
-//! campaign durable with the same protocol `rfly-replay` uses for
-//! missions, over the same injectable [`rfly_chaos::Storage`] trait:
-//!
-//! * an **append-only campaign log** — a header (magic + the full
-//!   config line), one [`TickRecord`] block per executed tick, and a
-//!   seal footer; appends are prefix-durable;
-//! * an **atomically replaced checkpoint** — duty roster, battery
-//!   charges, current cell count, and the world RNG/Gen2 state, written
-//!   with [`rfly_chaos::Storage::write_atomic`] every
-//!   `checkpoint_every` ticks;
-//! * **salvage + verified resume** — [`recover_stored_campaign`]
-//!   truncates the log to its longest complete-block prefix, rebuilds
-//!   the report aggregates from the salvaged blocks, restores the
-//!   roster and world from the checkpoint, and re-drives
-//!   [`CampaignRun::step`], byte-comparing every re-executed tick
-//!   against its durable block before appending anything new. The
-//!   final durable files are bit-identical to an uncrashed campaign's.
+//! the continuous-operation loop, on the same [`rfly_chaos::durable`]
+//! engine `rfly-replay` uses for missions. This module supplies the
+//! codecs: the append-only campaign log (magic + config-line header,
+//! one [`TickRecord`] block per tick, `end ticks=<n>` seal) and the
+//! atomically replaced [`CampaignCheckpoint`] (duty roster, battery
+//! charges, cell count, world RNG/Gen2 state). Recovery restores the
+//! checkpoint, rebuilds the report aggregates from the salvaged blocks
+//! it skipped, and byte-verifies every re-executed tick, so the final
+//! files are bit-identical to an uncrashed campaign's.
 
-use rfly_chaos::{Storage, StorageError};
-use rfly_faults::text::{epc_hex, fmt_f64, parse_epc_hex, Fields, ParseError};
+use rfly_chaos::durable::{self, Durable, Files, LogCodec};
+use rfly_chaos::Storage;
+use rfly_faults::text::{
+    epc_hex, fmt_f64, parse_epc_hex, world_lines, Fields, ParseError, WorldLines,
+};
 use rfly_fleet::channels::assign;
 use rfly_fleet::partition::partition;
 use rfly_sim::scene::Scene;
-use rfly_sim::world::{TagSnapshot, WorldSnapshot};
+use rfly_sim::world::WorldSnapshot;
 
 use crate::campaign::{CampaignRun, OpsConfig, OpsReport, TickRecord};
 use crate::rotation::{Duty, Roster, Rotation};
@@ -46,6 +36,15 @@ impl Default for CampaignPaths {
         Self {
             log: "campaign.log".to_string(),
             checkpoint: "campaign.ck".to_string(),
+        }
+    }
+}
+
+impl CampaignPaths {
+    fn files(&self) -> Files<'_> {
+        Files {
+            log: &self.log,
+            checkpoint: &self.checkpoint,
         }
     }
 }
@@ -80,9 +79,11 @@ pub fn config_line(cfg: &OpsConfig) -> String {
     )
 }
 
+const MAGIC: &str = "rfly-campaign v1";
+
 /// The campaign log header: magic line + config line.
 pub fn header_text(cfg: &OpsConfig) -> String {
-    format!("rfly-campaign v1\n{}\n", config_line(cfg))
+    format!("{MAGIC}\n{}\n", config_line(cfg))
 }
 
 /// One tick's log block: the `k` summary line, `rot` lines for every
@@ -224,6 +225,15 @@ pub fn parse_tick_block(text: &str) -> Result<TickRecord, ParseError> {
     Ok(rec)
 }
 
+/// Parses the seal line `end ticks=<n>` found at 1-indexed `line_no`.
+fn parse_seal(line: &str, line_no: usize) -> Result<usize, ParseError> {
+    let mut f = Fields::new(line, line_no);
+    f.expect_tok("end")?;
+    let ticks = f.kv_usize("ticks")?;
+    f.finish()?;
+    Ok(ticks)
+}
+
 /// What [`salvage_campaign_log`] kept and dropped.
 #[derive(Debug, Clone)]
 pub struct CampaignSalvage {
@@ -232,9 +242,6 @@ pub struct CampaignSalvage {
     pub text: String,
     /// The parsed blocks, in tick order.
     pub blocks: Vec<TickRecord>,
-    /// The exact text of each kept block — what fast-forward
-    /// verification byte-compares against.
-    pub block_texts: Vec<String>,
     /// `Some(ticks)` when the seal footer survived.
     pub sealed: Option<usize>,
     /// Raw bytes not carried into the salvage.
@@ -248,129 +255,63 @@ pub struct CampaignSalvage {
     pub foreign_config: bool,
 }
 
+/// The campaign log's text form, as the durable engine reads it.
+struct CampaignCodec {
+    /// The config line this campaign's header must carry.
+    config: String,
+}
+
+impl LogCodec for CampaignCodec {
+    type Block = TickRecord;
+    type Seal = ();
+    type Id = ();
+    const MAGIC: &'static str = MAGIC;
+
+    fn identity(&self, line: &str) -> Result<Option<()>, String> {
+        if line == self.config {
+            Ok(Some(()))
+        } else if line.split_whitespace().next() == Some("config") {
+            Err("campaign log belongs to a different config; refusing to resume".into())
+        } else {
+            Ok(None)
+        }
+    }
+
+    fn encode_block(&self, block: &TickRecord) -> String {
+        tick_block(block)
+    }
+
+    fn decode_block(&self, text: &str) -> Option<TickRecord> {
+        parse_tick_block(text).ok()
+    }
+
+    fn index(block: &TickRecord) -> usize {
+        block.tick
+    }
+
+    fn decode_seal(&self, line: &str, line_no: usize) -> Option<(usize, ())> {
+        Some((parse_seal(line, line_no).ok()?, ()))
+    }
+}
+
 /// Truncates raw campaign-log bytes to the longest valid prefix of
 /// complete tick blocks, dropping a torn tail, a duplicated last
 /// block, and anything after the seal. Never fails: unusable input
 /// salvages empty (the campaign restarts from tick zero).
 pub fn salvage_campaign_log(raw: &[u8], cfg: &OpsConfig) -> CampaignSalvage {
-    let text = String::from_utf8_lossy(raw);
-    let expected_config = config_line(cfg);
-    let mut out = CampaignSalvage {
-        text: String::new(),
-        blocks: Vec::new(),
-        block_texts: Vec::new(),
-        sealed: None,
-        dropped_bytes: raw.len(),
-        dropped_duplicates: 0,
-        header_ok: false,
-        foreign_config: false,
+    let codec = CampaignCodec {
+        config: config_line(cfg),
     };
-    let mut accepted = String::new();
-    let mut pending = String::new();
-    // 0 = expect magic, 1 = expect config line, 2 = blocks.
-    let mut stage = 0u8;
-    for line in text.split_inclusive('\n') {
-        if !line.ends_with('\n') {
-            break; // torn tail line
-        }
-        let trimmed = line.trim();
-        match stage {
-            0 => {
-                if trimmed == "rfly-campaign v1" {
-                    accepted.push_str(line);
-                    stage = 1;
-                } else {
-                    break;
-                }
-            }
-            1 => {
-                if trimmed == expected_config {
-                    accepted.push_str(line);
-                    stage = 2;
-                } else {
-                    out.foreign_config = trimmed.split_whitespace().next() == Some("config");
-                    break;
-                }
-            }
-            _ => {
-                if out.sealed.is_some() {
-                    break; // nothing is valid after the seal
-                }
-                let first = trimmed.split_whitespace().next().unwrap_or("");
-                if pending.is_empty() && first == "end" {
-                    let mut f = Fields::new(trimmed, 1);
-                    let ticks = (|| -> Result<usize, ParseError> {
-                        f.expect_tok("end")?;
-                        let t = f.kv_usize("ticks")?;
-                        f.finish()?;
-                        Ok(t)
-                    })();
-                    match ticks {
-                        Ok(t) if t == out.blocks.len() => {
-                            accepted.push_str(line);
-                            out.sealed = Some(t);
-                            continue;
-                        }
-                        _ => break, // seal disagrees with the blocks — corrupt
-                    }
-                }
-                pending.push_str(line);
-                if first != "e" {
-                    continue;
-                }
-                match parse_tick_block(&pending) {
-                    Ok(rec) if rec.tick == out.blocks.len() => {
-                        accepted.push_str(&pending);
-                        out.block_texts.push(std::mem::take(&mut pending));
-                        out.blocks.push(rec);
-                    }
-                    Ok(rec)
-                        if rec.tick + 1 == out.blocks.len()
-                            && Some(&pending) == out.block_texts.last() =>
-                    {
-                        // A duplicated append landed the last block twice.
-                        out.dropped_duplicates += 1;
-                        pending.clear();
-                    }
-                    _ => break, // torn interior or out-of-sequence block
-                }
-            }
-        }
+    let s = durable::salvage(&codec, raw);
+    CampaignSalvage {
+        text: s.text,
+        blocks: s.blocks,
+        sealed: s.seal.map(|(_, ticks, ())| ticks),
+        dropped_bytes: s.dropped_bytes,
+        dropped_duplicates: s.dropped_duplicates,
+        header_ok: s.id.is_some(),
+        foreign_config: s.foreign.is_some(),
     }
-    if stage == 2 {
-        out.header_ok = true;
-        out.text = accepted;
-    } else {
-        out.blocks.clear();
-        out.block_texts.clear();
-        out.sealed = None;
-    }
-    out.dropped_bytes = raw.len().saturating_sub(out.text.len());
-    out
-}
-
-fn rng_hex(words: [u64; 4]) -> String {
-    format!(
-        "{:x},{:x},{:x},{:x}",
-        words[0], words[1], words[2], words[3]
-    )
-}
-
-fn parse_rng_hex(f: &mut Fields<'_>, key: &str) -> Result<[u64; 4], ParseError> {
-    let v = f.kv(key)?;
-    let mut words = [0u64; 4];
-    let mut parts = v.split(',');
-    for w in words.iter_mut() {
-        let p = parts
-            .next()
-            .ok_or_else(|| f.error(format!("{key} needs 4 comma-joined hex words")))?;
-        *w = u64::from_str_radix(p, 16)
-            .map_err(|_| f.error(format!("bad hex word {p:?} in {key}")))?;
-    }
-    if parts.next().is_some() {
-        return Err(f.error(format!("{key} has more than 4 words")));
-    }
-    Ok(words)
 }
 
 /// A campaign checkpoint: everything the resume path cannot rebuild
@@ -412,20 +353,7 @@ impl CampaignCheckpoint {
                 fmt_f64(*charge)
             ));
         }
-        s.push_str(&format!(
-            "world rng={} embrng={} embflags={:x}\n",
-            rng_hex(self.world.rng),
-            rng_hex(self.world.embedded_rng),
-            self.world.embedded_flags,
-        ));
-        for t in &self.world.tags {
-            s.push_str(&format!(
-                "wtag {} rng={} flags={:x}\n",
-                epc_hex(t.epc),
-                rng_hex(t.rng),
-                t.flags,
-            ));
-        }
+        s.push_str(&world_lines(&self.world));
         s.push_str("end\n");
         s
     }
@@ -441,8 +369,7 @@ impl CampaignCheckpoint {
         }
         let mut tick: Option<(usize, usize, bool)> = None;
         let mut duties: Vec<(Duty, f64)> = Vec::new();
-        let mut world: Option<([u64; 4], [u64; 4], u8)> = None;
-        let mut wtags: Vec<TagSnapshot> = Vec::new();
+        let mut world = WorldLines::default();
         let mut ended = false;
         for (n, line) in lines {
             if line.is_empty() {
@@ -487,24 +414,7 @@ impl CampaignCheckpoint {
                     f.finish()?;
                     duties.push((duty, charge));
                 }
-                "world" => {
-                    let rng = parse_rng_hex(&mut f, "rng")?;
-                    let embedded_rng = parse_rng_hex(&mut f, "embrng")?;
-                    let flags_v = f.kv("embflags")?;
-                    let embedded_flags = u8::from_str_radix(flags_v, 16)
-                        .map_err(|_| ParseError::new(n, format!("bad embflags {flags_v:?}")))?;
-                    f.finish()?;
-                    world = Some((rng, embedded_rng, embedded_flags));
-                }
-                "wtag" => {
-                    let epc = f.epc("EPC")?;
-                    let rng = parse_rng_hex(&mut f, "rng")?;
-                    let flags_v = f.kv("flags")?;
-                    let flags = u8::from_str_radix(flags_v, 16)
-                        .map_err(|_| ParseError::new(n, format!("bad flags {flags_v:?}")))?;
-                    f.finish()?;
-                    wtags.push(TagSnapshot { epc, rng, flags });
-                }
+                tag @ ("world" | "wtag") => world.record(tag, f)?,
                 other => {
                     return Err(ParseError::new(
                         n,
@@ -521,25 +431,14 @@ impl CampaignCheckpoint {
         }
         let (next_tick, cells, halted) =
             tick.ok_or_else(|| ParseError::new(0, "missing tick line"))?;
-        let (rng, embedded_rng, embedded_flags) =
-            world.ok_or_else(|| ParseError::new(0, "missing world line"))?;
         Ok(Self {
             next_tick,
             cells,
             halted,
             duties,
-            world: WorldSnapshot {
-                rng,
-                embedded_rng,
-                embedded_flags,
-                tags: wtags,
-            },
+            world: world.finish()?,
         })
     }
-}
-
-fn io(op: &str, e: StorageError) -> String {
-    format!("{op}: {e}")
 }
 
 fn checkpoint_of(run: &CampaignRun<'_>) -> CampaignCheckpoint {
@@ -550,45 +449,6 @@ fn checkpoint_of(run: &CampaignRun<'_>) -> CampaignCheckpoint {
         duties: run.roster.duties(),
         world: run.world.snapshot(),
     }
-}
-
-/// Flies a campaign start to finish, persisting through `storage`:
-/// the log as incremental appends (header, one block per tick, seal),
-/// a checkpoint atomically replaced every `checkpoint_every` ticks
-/// (`0` = final checkpoint only), and a final checkpoint.
-pub fn run_stored_campaign(
-    scene: &Scene,
-    cfg: &OpsConfig,
-    storage: &mut dyn Storage,
-    paths: &CampaignPaths,
-    checkpoint_every: usize,
-) -> Result<OpsReport, String> {
-    let _span = rfly_obs::span("ops.run_stored_campaign");
-    let mut run = CampaignRun::new(scene, cfg)?;
-    storage
-        .append(&paths.log, header_text(cfg).as_bytes())
-        .map_err(|e| io("campaign log header append", e))?;
-    while !run.finished() {
-        let rec = run.step()?;
-        storage
-            .append(&paths.log, tick_block(&rec).as_bytes())
-            .map_err(|e| io("campaign tick append", e))?;
-        if checkpoint_every != 0 && (rec.tick + 1).is_multiple_of(checkpoint_every) {
-            storage
-                .write_atomic(&paths.checkpoint, checkpoint_of(&run).to_text().as_bytes())
-                .map_err(|e| io("campaign checkpoint write", e))?;
-        }
-    }
-    storage
-        .append(
-            &paths.log,
-            format!("end ticks={}\n", run.tick_index()).as_bytes(),
-        )
-        .map_err(|e| io("campaign seal append", e))?;
-    storage
-        .write_atomic(&paths.checkpoint, checkpoint_of(&run).to_text().as_bytes())
-        .map_err(|e| io("final campaign checkpoint write", e))?;
-    Ok(run.into_report())
 }
 
 /// Folds an already-durable tick's record into a freshly restored
@@ -655,18 +515,97 @@ fn restore_run<'s>(
     Ok(run)
 }
 
+/// A campaign as a durable job.
+struct CampaignJob<'s> {
+    scene: &'s Scene,
+    cfg: &'s OpsConfig,
+    codec: CampaignCodec,
+}
+
+impl<'s> CampaignJob<'s> {
+    fn new(scene: &'s Scene, cfg: &'s OpsConfig) -> Self {
+        Self {
+            scene,
+            cfg,
+            codec: CampaignCodec {
+                config: config_line(cfg),
+            },
+        }
+    }
+}
+
+impl<'s> Durable for CampaignJob<'s> {
+    type Codec = CampaignCodec;
+    type State = CampaignRun<'s>;
+    type Checkpoint = CampaignCheckpoint;
+    type Done = OpsReport;
+
+    fn codec(&self) -> &CampaignCodec {
+        &self.codec
+    }
+
+    fn header_text(&self) -> String {
+        header_text(self.cfg)
+    }
+
+    fn start(&self) -> Result<CampaignRun<'s>, String> {
+        CampaignRun::new(self.scene, self.cfg)
+    }
+
+    fn step(&self, run: &mut CampaignRun<'s>) -> Result<Option<TickRecord>, String> {
+        if run.finished() {
+            return Ok(None);
+        }
+        run.step().map(Some)
+    }
+
+    fn checkpoint_text(&self, run: &CampaignRun<'s>) -> String {
+        checkpoint_of(run).to_text()
+    }
+
+    fn decode_checkpoint(&self, text: &str) -> Option<(usize, CampaignCheckpoint)> {
+        let ck = CampaignCheckpoint::from_text(text).ok()?;
+        Some((ck.next_tick, ck))
+    }
+
+    fn restore(&self, ck: CampaignCheckpoint) -> Result<CampaignRun<'s>, String> {
+        restore_run(self.scene, self.cfg, &ck)
+    }
+
+    fn absorb(&self, run: &mut CampaignRun<'s>, rec: TickRecord) {
+        apply_salvaged_tick(run, &rec);
+    }
+
+    fn finish(&self, run: CampaignRun<'s>) -> Result<(String, String, OpsReport), String> {
+        let seal = format!("end ticks={}\n", run.tick_index());
+        let checkpoint = checkpoint_of(&run).to_text();
+        Ok((seal, checkpoint, run.into_report()))
+    }
+}
+
+/// Flies a campaign start to finish, persisting through `storage`:
+/// the log as incremental appends (header, one block per tick, seal),
+/// a checkpoint atomically replaced every `checkpoint_every` ticks
+/// (`0` = final checkpoint only), and a final checkpoint.
+pub fn run_stored_campaign(
+    scene: &Scene,
+    cfg: &OpsConfig,
+    storage: &mut dyn Storage,
+    paths: &CampaignPaths,
+    checkpoint_every: usize,
+) -> Result<OpsReport, String> {
+    let _span = rfly_obs::span("ops.run_stored_campaign");
+    let job = CampaignJob::new(scene, cfg);
+    durable::run(&job, storage, paths.files(), checkpoint_every)
+}
+
 /// Recovers a crashed [`run_stored_campaign`] from whatever `storage`
 /// holds and flies it to completion, leaving the durable files
 /// bit-identical to an uncrashed campaign's.
 ///
-/// Protocol: salvage the log, truncate the durable file to the
-/// salvaged prefix, rebuild the report aggregates from the salvaged
-/// blocks, restore from the checkpoint when it is at or before the
-/// salvage point (otherwise restart from tick zero), byte-compare
-/// every re-executed tick against its durable block, and append
-/// everything past the salvage point live. A mismatch between a
-/// re-executed tick and its durable block is real corruption and is
-/// reported as `Err`.
+/// A log for another config, a re-executed tick or seal whose bytes
+/// differ from the durable ones, or a seal that disagrees with the
+/// salvaged tick count is real corruption and is reported as `Err`.
 pub fn recover_stored_campaign(
     scene: &Scene,
     cfg: &OpsConfig,
@@ -675,91 +614,8 @@ pub fn recover_stored_campaign(
     checkpoint_every: usize,
 ) -> Result<OpsReport, String> {
     let _span = rfly_obs::span("ops.recover_stored_campaign");
-    rfly_obs::counter_add("ops.campaign_recoveries", 1);
-    let raw = match storage.read(&paths.log) {
-        Ok(bytes) => bytes,
-        Err(StorageError::NotFound(_)) => Vec::new(),
-        Err(e) => return Err(io("campaign log read", e)),
-    };
-    let salv = salvage_campaign_log(&raw, cfg);
-    if salv.foreign_config {
-        return Err("campaign log belongs to a different config; refusing to resume".into());
-    }
-    rfly_obs::counter_add("ops.salvaged_ticks", salv.blocks.len() as u64);
-
-    // Physically truncate the durable log (or restart it at the
-    // header) so the torn tail is gone even if we crash again.
-    let base_text = if salv.header_ok {
-        salv.text.clone()
-    } else {
-        header_text(cfg)
-    };
-    storage
-        .write_atomic(&paths.log, base_text.as_bytes())
-        .map_err(|e| io("campaign log truncate", e))?;
-
-    // A checkpoint ahead of the salvage point lost its covering
-    // blocks; discard it and replay from tick zero instead.
-    let ck = match storage.read(&paths.checkpoint) {
-        Ok(bytes) => String::from_utf8(bytes)
-            .ok()
-            .and_then(|t| CampaignCheckpoint::from_text(&t).ok())
-            .filter(|c| c.next_tick <= salv.blocks.len()),
-        Err(_) => None,
-    };
-    let mut run = match &ck {
-        Some(ck) => restore_run(scene, cfg, ck)?,
-        None => CampaignRun::new(scene, cfg)?,
-    };
-    for rec in salv.blocks.iter().take(run.tick) {
-        apply_salvaged_tick(&mut run, rec);
-    }
-
-    while !run.finished() {
-        let tick = run.tick_index();
-        let rec = run.step()?;
-        let block = tick_block(&rec);
-        if let Some(durable) = salv.block_texts.get(tick) {
-            // Fast-forward: this tick is already durable; verify the
-            // re-execution against it instead of re-appending.
-            if block != *durable {
-                return Err(format!(
-                    "campaign recovery diverged from durable log at tick {tick}"
-                ));
-            }
-        } else {
-            storage
-                .append(&paths.log, block.as_bytes())
-                .map_err(|e| io("campaign tick append", e))?;
-        }
-        if checkpoint_every != 0 && (tick + 1).is_multiple_of(checkpoint_every) {
-            storage
-                .write_atomic(&paths.checkpoint, checkpoint_of(&run).to_text().as_bytes())
-                .map_err(|e| io("campaign checkpoint write", e))?;
-        }
-    }
-    match salv.sealed {
-        Some(ticks) => {
-            if ticks != run.tick_index() {
-                return Err(format!(
-                    "salvaged seal says {ticks} ticks but recovery executed {}",
-                    run.tick_index()
-                ));
-            }
-        }
-        None => {
-            storage
-                .append(
-                    &paths.log,
-                    format!("end ticks={}\n", run.tick_index()).as_bytes(),
-                )
-                .map_err(|e| io("campaign seal append", e))?;
-        }
-    }
-    storage
-        .write_atomic(&paths.checkpoint, checkpoint_of(&run).to_text().as_bytes())
-        .map_err(|e| io("final campaign checkpoint write", e))?;
-    Ok(run.into_report())
+    let job = CampaignJob::new(scene, cfg);
+    durable::recover(&job, storage, paths.files(), checkpoint_every)
 }
 
 #[cfg(test)]
@@ -882,6 +738,36 @@ mod tests {
         assert_eq!(recovered.rotations, report.rotations);
         assert_eq!(recovered.unique_tags, report.unique_tags);
         assert_eq!(recovered.min_coverage, report.min_coverage);
+    }
+
+    #[test]
+    fn recovery_refuses_a_whole_seal_that_disagrees() {
+        let (mut store, report) = reference(11, 4);
+        let scene = docked_scene();
+        let cfg = short_cfg(11);
+        let paths = CampaignPaths::default();
+        let raw = store.read(&paths.log).expect("log exists");
+        let text = String::from_utf8(raw).expect("utf8");
+        let seal = format!("end ticks={}\n", report.ticks);
+        let bad = text.replace(&seal, &format!("end ticks={}\n", report.ticks - 1));
+        assert_ne!(bad, text);
+        let salv = salvage_campaign_log(bad.as_bytes(), &cfg);
+        assert_eq!(salv.sealed, Some(report.ticks - 1), "the seal parses");
+        let seal_line = text.lines().count();
+        store
+            .write_atomic(&paths.log, bad.as_bytes())
+            .expect("plant");
+        let err = recover_stored_campaign(&scene, &cfg, &mut store, &paths, 4)
+            .expect_err("a wrong seal must be rejected, not re-sealed");
+        assert!(err.contains(&format!("line {seal_line}")), "{err}");
+    }
+
+    #[test]
+    fn seal_errors_carry_their_line() {
+        assert_eq!(parse_seal("end ticks=12", 40), Ok(12));
+        for bad in ["end ticks=x", "end", "end ticks=1 more", "fin ticks=1"] {
+            assert_eq!(parse_seal(bad, 40).expect_err(bad).line, 40);
+        }
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl<M: Medium, L: MediumLayer> Layered<M, L> {
         &self.inner
     }
 
-    /// The layer.
-    pub fn layer_ref(&self) -> &L {
-        &self.layer
-    }
-
     /// Unwraps the stack one level.
     pub fn into_inner(self) -> M {
         self.inner

@@ -22,11 +22,13 @@ use rfly_drone::kinematics::MotionLimits;
 use rfly_dsp::units::{Db, Hertz};
 use rfly_dsp::Complex;
 use rfly_faults::supervisor::{MissionSnapshot, StepTrack};
-use rfly_faults::text::{epc_hex, fmt_f64, parse_epc_hex, Fields, ParseError};
+use rfly_faults::text::{
+    epc_hex, fmt_f64, parse_epc_hex, world_lines, Fields, ParseError, WorldLines,
+};
 use rfly_faults::{RelayHealth, ResilienceLog};
 use rfly_fleet::inventory::{FleetInventory, Sighting, TagRecord};
 use rfly_fleet::partition::Cell;
-use rfly_sim::world::{TagSnapshot, WorldSnapshot};
+use rfly_sim::world::WorldSnapshot;
 
 /// A full mission checkpoint, taken at a step boundary.
 #[derive(Debug, Clone)]
@@ -52,30 +54,6 @@ fn parse_opt_usize(f: &mut Fields<'_>, key: &str) -> Result<Option<usize>, Parse
     v.parse()
         .map(Some)
         .map_err(|_| f.error(format!("bad integer in {key}={v:?}")))
-}
-
-fn rng_hex(words: [u64; 4]) -> String {
-    format!(
-        "{:x},{:x},{:x},{:x}",
-        words[0], words[1], words[2], words[3]
-    )
-}
-
-fn parse_rng_hex(f: &mut Fields<'_>, key: &str) -> Result<[u64; 4], ParseError> {
-    let v = f.kv(key)?;
-    let mut words = [0u64; 4];
-    let mut parts = v.split(',');
-    for w in words.iter_mut() {
-        let p = parts
-            .next()
-            .ok_or_else(|| f.error(format!("{key} needs 4 comma-joined hex words")))?;
-        *w = u64::from_str_radix(p, 16)
-            .map_err(|_| f.error(format!("bad hex word {p:?} in {key}")))?;
-    }
-    if parts.next().is_some() {
-        return Err(f.error(format!("{key} has more than 4 words")));
-    }
-    Ok(words)
 }
 
 impl Checkpoint {
@@ -197,20 +175,7 @@ impl Checkpoint {
             ));
         }
         s.push_str(&m.log.to_text());
-        s.push_str(&format!(
-            "world rng={} embrng={} embflags={:x}\n",
-            rng_hex(self.world.rng),
-            rng_hex(self.world.embedded_rng),
-            self.world.embedded_flags,
-        ));
-        for t in &self.world.tags {
-            s.push_str(&format!(
-                "wtag {} rng={} flags={:x}\n",
-                epc_hex(t.epc),
-                rng_hex(t.rng),
-                t.flags,
-            ));
-        }
+        s.push_str(&world_lines(&self.world));
         s.push_str("end\n");
         s
     }
@@ -235,8 +200,7 @@ impl Checkpoint {
         let mut per_relay_reads: Option<Vec<usize>> = None;
         let mut tag_records: Vec<TagRecord> = Vec::new();
         let mut log: Option<ResilienceLog> = None;
-        let mut world: Option<([u64; 4], [u64; 4], u8)> = None;
-        let mut wtags: Vec<TagSnapshot> = Vec::new();
+        let mut world = WorldLines::default();
         let mut ended = false;
 
         while let Some((n, line)) = lines.next() {
@@ -423,24 +387,7 @@ impl Checkpoint {
                     f.finish()?;
                     tag_records.push(rec);
                 }
-                "world" => {
-                    let rng = parse_rng_hex(&mut f, "rng")?;
-                    let embedded_rng = parse_rng_hex(&mut f, "embrng")?;
-                    let flags_v = f.kv("embflags")?;
-                    let embedded_flags = u8::from_str_radix(flags_v, 16)
-                        .map_err(|_| ParseError::new(n, format!("bad embflags {flags_v:?}")))?;
-                    f.finish()?;
-                    world = Some((rng, embedded_rng, embedded_flags));
-                }
-                "wtag" => {
-                    let epc = f.epc("EPC")?;
-                    let rng = parse_rng_hex(&mut f, "rng")?;
-                    let flags_v = f.kv("flags")?;
-                    let flags = u8::from_str_radix(flags_v, 16)
-                        .map_err(|_| ParseError::new(n, format!("bad flags {flags_v:?}")))?;
-                    f.finish()?;
-                    wtags.push(TagSnapshot { epc, rng, flags });
-                }
+                tag @ ("world" | "wtag") => world.record(tag, f)?,
                 other => {
                     return Err(ParseError::new(
                         n,
@@ -462,8 +409,7 @@ impl Checkpoint {
         let per_relay_reads =
             per_relay_reads.ok_or_else(|| ParseError::new(0, "missing inv line"))?;
         let log = log.ok_or_else(|| ParseError::new(0, "missing resilience-log block"))?;
-        let (rng, embedded_rng, embedded_flags) =
-            world.ok_or_else(|| ParseError::new(0, "missing world line"))?;
+        let world = world.finish()?;
 
         let n_relays = health.len();
         if chans.len() != n_relays || cells.len() != n_relays || plans.len() != n_relays {
@@ -499,12 +445,6 @@ impl Checkpoint {
             route_start: chans.iter().map(|c| c.2).collect(),
             hold: chans.iter().map(|c| c.3).collect(),
             believed: chans.iter().map(|c| c.4).collect(),
-        };
-        let world = WorldSnapshot {
-            rng,
-            embedded_rng,
-            embedded_flags,
-            tags: wtags,
         };
         Ok(Checkpoint { mission, world })
     }

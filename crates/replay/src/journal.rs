@@ -28,6 +28,7 @@
 //! complete step block; [`Journal::from_text`] accepts the missing
 //! footer and leaves [`Journal::sealed`] as `None`.
 
+use rfly_chaos::durable::LogCodec;
 use rfly_dsp::units::{Db, Seconds};
 use rfly_dsp::Complex;
 use rfly_faults::supervisor::{ReadRecord, StepRecord};
@@ -100,7 +101,7 @@ impl Journal {
         let (n, header) = lines
             .next()
             .ok_or_else(|| ParseError::new(1, "empty journal text"))?;
-        if header != "rfly-journal v1" {
+        if header != MAGIC {
             return Err(ParseError::new(n, format!("bad header {header:?}")));
         }
         let (n, scn_line) = lines
@@ -108,78 +109,31 @@ impl Journal {
             .ok_or_else(|| ParseError::new(n + 1, "missing scenario line"))?;
         let scenario = Scenario::from_line(scn_line, n)?;
         let mut journal = Journal::begin(scenario);
-        let mut current: Option<(usize, StepRecord)> = None;
-        for (n, line) in lines {
-            if line.is_empty() {
-                continue;
+        let mut open = None;
+        for (n, line) in lines.filter(|(_, l)| !l.is_empty()) {
+            if open.is_none() && line.split_whitespace().next() == Some("end") {
+                journal.sealed = Some(parse_seal(line, n)?);
+                return Ok(journal);
             }
-            let first = line.split_whitespace().next().unwrap_or("");
-            if first == "s" || first == "end" {
-                if let Some((open_n, _)) = current {
-                    return Err(ParseError::new(
-                        n,
-                        format!("step block opened at line {open_n} has no `e` terminator"),
-                    ));
-                }
-            }
-            match first {
-                "s" => {
-                    let mut f = Fields::new(line, n);
-                    f.expect_tok("s")?;
-                    let step = f.usize("step index")?;
-                    f.finish()?;
-                    current = Some((
-                        n,
-                        StepRecord {
-                            step,
-                            faults: Vec::new(),
-                            recoveries: Vec::new(),
-                            margin: None,
-                            reads: Vec::new(),
-                            rng: [0; 4],
-                            done: false,
-                        },
-                    ));
-                }
-                "end" => {
-                    let mut f = Fields::new(line, n);
-                    f.expect_tok("end")?;
-                    journal.sealed = Some(Seal {
-                        steps: f.kv_usize("steps")?,
-                        duration_s: f.kv_f64("duration")?,
-                    });
-                    f.finish()?;
-                    return Ok(journal);
-                }
-                _ => {
-                    let Some((_, rec)) = current.as_mut() else {
-                        return Err(ParseError::new(
-                            n,
-                            format!("record {line:?} outside a step block"),
-                        ));
-                    };
-                    if parse_step_line(first, line, n, rec)? {
-                        if let Some((_, done)) = current.take() {
-                            journal.steps.push(done);
-                        }
-                    }
-                }
-            }
+            journal.steps.extend(feed(&mut open, line, n)?);
         }
-        if let Some((open_n, _)) = current {
-            return Err(ParseError::new(
+        match open {
+            Some((open_n, _)) => Err(ParseError::new(
                 text.lines().count(),
                 format!("step block opened at line {open_n} has no `e` terminator"),
-            ));
+            )),
+            None => Ok(journal),
         }
-        Ok(journal)
     }
 }
+
+/// The journal's version line.
+pub(crate) const MAGIC: &str = "rfly-journal v1";
 
 /// The journal header: the version line plus the scenario line —
 /// exactly the prefix an incremental writer appends before any step.
 pub fn header_text(scenario: &Scenario) -> String {
-    let mut s = String::from("rfly-journal v1\n");
+    let mut s = format!("{MAGIC}\n");
     s.push_str(&scenario.to_line());
     s.push('\n');
     s
@@ -192,6 +146,18 @@ pub fn seal_text(seal: &Seal) -> String {
         seal.steps,
         fmt_f64(seal.duration_s)
     )
+}
+
+/// Parses the [`seal_text`] line found at 1-indexed `line_no`.
+pub(crate) fn parse_seal(line: &str, line_no: usize) -> Result<Seal, ParseError> {
+    let mut f = Fields::new(line, line_no);
+    f.expect_tok("end")?;
+    let seal = Seal {
+        steps: f.kv_usize("steps")?,
+        duration_s: f.kv_f64("duration")?,
+    };
+    f.finish()?;
+    Ok(seal)
 }
 
 /// One step block's text form — the unit an incremental journal writer
@@ -226,6 +192,108 @@ pub fn step_block(rec: &StepRecord) -> String {
     ));
     s.push_str(&format!("e {}\n", u8::from(rec.done)));
     s
+}
+
+/// The journal's text form, as the durable engine reads it; with
+/// `expect` set, a journal for another scenario is refused.
+pub(crate) struct JournalCodec<'a> {
+    pub(crate) expect: Option<&'a Scenario>,
+}
+
+impl LogCodec for JournalCodec<'_> {
+    type Block = StepRecord;
+    type Seal = Seal;
+    type Id = Scenario;
+    const MAGIC: &'static str = MAGIC;
+
+    fn identity(&self, line: &str) -> Result<Option<Scenario>, String> {
+        match (Scenario::from_line(line, 2), self.expect) {
+            (Ok(found), Some(want)) if found != *want => Err(format!(
+                "salvaged journal is for a different scenario: {:?}",
+                found.to_line()
+            )),
+            (found, _) => Ok(found.ok()),
+        }
+    }
+
+    fn encode_block(&self, block: &StepRecord) -> String {
+        step_block(block)
+    }
+
+    fn decode_block(&self, text: &str) -> Option<StepRecord> {
+        parse_step_block(text).ok()
+    }
+
+    fn index(block: &StepRecord) -> usize {
+        block.step
+    }
+
+    fn decode_seal(&self, line: &str, line_no: usize) -> Option<(usize, Seal)> {
+        let seal = parse_seal(line, line_no).ok()?;
+        Some((seal.steps, seal))
+    }
+}
+
+/// Parses one [`step_block`]: its `s` line through its `e` line.
+pub(crate) fn parse_step_block(text: &str) -> Result<StepRecord, ParseError> {
+    let (mut open, mut done) = (None, None);
+    for (i, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        if done.is_some() {
+            return Err(ParseError::new(i + 1, "records after the `e` terminator"));
+        }
+        done = feed(&mut open, line, i + 1)?;
+    }
+    done.ok_or_else(|| ParseError::new(text.lines().count(), "step block has no `e` terminator"))
+}
+
+/// Feeds one trimmed, non-empty line `n` to the step block being
+/// parsed (`open`: its first line and record so far); returns the
+/// record once its `e` terminator arrives.
+fn feed(
+    open: &mut Option<(usize, StepRecord)>,
+    line: &str,
+    n: usize,
+) -> Result<Option<StepRecord>, ParseError> {
+    let first = line.split_whitespace().next().unwrap_or("");
+    let Some((open_n, rec)) = open.as_mut() else {
+        if first != "s" {
+            return Err(ParseError::new(
+                n,
+                format!("record {line:?} outside a step block"),
+            ));
+        }
+        let mut f = Fields::new(line, n);
+        f.expect_tok("s")?;
+        let step = f.usize("step index")?;
+        f.finish()?;
+        *open = Some((
+            n,
+            StepRecord {
+                step,
+                faults: Vec::new(),
+                recoveries: Vec::new(),
+                margin: None,
+                reads: Vec::new(),
+                rng: [0; 4],
+                done: false,
+            },
+        ));
+        return Ok(None);
+    };
+    if first == "s" || first == "end" {
+        return Err(ParseError::new(
+            n,
+            format!("step block opened at line {open_n} has no `e` terminator"),
+        ));
+    }
+    if parse_step_line(first, line, n, rec)? {
+        return Ok(open.take().map(|(_, rec)| rec));
+    }
+    Ok(None)
 }
 
 /// Parses one in-block journal line into `rec`. Returns `true` when the

@@ -9,11 +9,12 @@
 //! RNG streams from one line of text.
 
 use rfly_channel::geometry::Point2;
+use rfly_chaos::durable::Durable;
 use rfly_core::relay::gains::IsolationBudget;
 use rfly_drone::kinematics::MotionLimits;
 use rfly_dsp::rng::{Rng, StdRng};
-use rfly_dsp::units::{Db, Seconds};
-use rfly_faults::supervisor::{MissionEnv, MissionState, SupervisorConfig};
+use rfly_dsp::units::Db;
+use rfly_faults::supervisor::{MissionEnv, MissionState, StepRecord, SupervisorConfig};
 use rfly_faults::text::{fmt_f64, Fields, ParseError};
 use rfly_faults::{FaultSchedule, ResilientOutcome};
 use rfly_fleet::channels::{assign, ChannelPlan};
@@ -24,7 +25,7 @@ use rfly_sim::world::PhasorWorld;
 use rfly_tag::population::TagPopulation;
 
 use crate::checkpoint::Checkpoint;
-use crate::journal::Journal;
+use crate::journal::{header_text, seal_text, Journal, JournalCodec, Seal};
 
 /// Everything needed to rebuild a mission deterministically.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,29 +198,147 @@ pub struct Run {
     pub outcome: ResilientOutcome,
 }
 
+/// A supervised mission as a durable job.
+pub(crate) struct MissionJob<'a> {
+    codec: JournalCodec<'a>,
+    scenario: &'a Scenario,
+    schedule: &'a FaultSchedule,
+    sup: SupervisorConfig,
+}
+
+/// A mission in flight: its world, supervisor state and journal.
+pub(crate) struct InFlight {
+    m: Mission,
+    state: MissionState,
+    journal: Journal,
+}
+
+impl InFlight {
+    fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            mission: self.state.snapshot(),
+            world: self.m.world.snapshot(),
+        }
+    }
+}
+
+impl<'a> MissionJob<'a> {
+    pub(crate) fn new(scenario: &'a Scenario, schedule: &'a FaultSchedule) -> Self {
+        Self {
+            codec: JournalCodec {
+                expect: Some(scenario),
+            },
+            scenario,
+            schedule,
+            sup: SupervisorConfig::default(),
+        }
+    }
+
+    fn sup(&self) -> Option<&SupervisorConfig> {
+        self.scenario.supervised.then_some(&self.sup)
+    }
+
+    /// Ends the mission: its outcome and the journal sealed with it.
+    fn land(&self, f: InFlight) -> Run {
+        let env = MissionEnv {
+            scene: &f.m.scene,
+            budget: f.m.budget,
+            margin: f.m.margin,
+            limits: f.m.limits,
+        };
+        let outcome = f.state.into_outcome(&env, self.sup());
+        let mut journal = f.journal;
+        journal.sealed = Some(Seal {
+            steps: outcome.steps,
+            duration_s: outcome.duration_s,
+        });
+        Run { journal, outcome }
+    }
+}
+
+impl<'a> Durable for MissionJob<'a> {
+    type Codec = JournalCodec<'a>;
+    type State = InFlight;
+    type Checkpoint = Checkpoint;
+    type Done = Run;
+
+    fn codec(&self) -> &JournalCodec<'a> {
+        &self.codec
+    }
+
+    fn header_text(&self) -> String {
+        header_text(self.scenario)
+    }
+
+    fn start(&self) -> Result<InFlight, String> {
+        let m = self.scenario.build()?;
+        Ok(InFlight {
+            state: MissionState::new(&m.plan, &m.part, &m.cfg),
+            m,
+            journal: Journal::begin(self.scenario.clone()),
+        })
+    }
+
+    fn step(&self, f: &mut InFlight) -> Result<Option<StepRecord>, String> {
+        if f.state.finished() {
+            return Ok(None);
+        }
+        let m = &mut f.m;
+        let env = MissionEnv {
+            scene: &m.scene,
+            budget: m.budget,
+            margin: m.margin,
+            limits: m.limits,
+        };
+        let rec = f
+            .state
+            .advance(&mut m.world, &env, &m.cfg, self.schedule, self.sup());
+        rfly_obs::counter_add("replay.steps_journaled", 1);
+        f.journal.push(&rec);
+        Ok(Some(rec))
+    }
+
+    fn checkpoint_text(&self, f: &InFlight) -> String {
+        f.checkpoint().to_text()
+    }
+
+    fn decode_checkpoint(&self, text: &str) -> Option<(usize, Checkpoint)> {
+        let cp = Checkpoint::from_text(text).ok()?;
+        Some((cp.mission.step, cp))
+    }
+
+    fn restore(&self, cp: Checkpoint) -> Result<InFlight, String> {
+        let mut m = self.scenario.build()?;
+        m.world
+            .restore(&cp.world)
+            .map_err(|e| format!("world restore failed: {e}"))?;
+        Ok(InFlight {
+            m,
+            state: MissionState::from_snapshot(cp.mission),
+            journal: Journal::begin(self.scenario.clone()),
+        })
+    }
+
+    fn absorb(&self, f: &mut InFlight, block: StepRecord) {
+        f.journal.steps.push(block);
+    }
+
+    fn finish(&self, f: InFlight) -> Result<(String, String, Run), String> {
+        let checkpoint = f.checkpoint().to_text();
+        let run = self.land(f);
+        let seal = run.journal.sealed.as_ref().map(seal_text);
+        Ok((seal.unwrap_or_default(), checkpoint, run))
+    }
+}
+
 /// Flies `scenario` under `schedule` start to finish, journaling every
 /// step.
 pub fn run_full(scenario: &Scenario, schedule: &FaultSchedule) -> Result<Run, String> {
     let _span = rfly_obs::span("replay.run_full");
-    let mut m = scenario.build()?;
-    let sup = SupervisorConfig::default();
-    let sup_opt = scenario.supervised.then_some(&sup);
-    let env = MissionEnv {
-        scene: &m.scene,
-        budget: m.budget,
-        margin: m.margin,
-        limits: m.limits,
-    };
-    let mut state = MissionState::new(&m.plan, &m.part, &m.cfg);
-    let mut journal = Journal::begin(scenario.clone());
-    while !state.finished() {
-        let rec = state.advance(&mut m.world, &env, &m.cfg, schedule, sup_opt);
-        rfly_obs::counter_add("replay.steps_journaled", 1);
-        journal.push(&rec);
-    }
-    let outcome = state.into_outcome(&env, sup_opt);
-    journal.seal(outcome.steps, Seconds::new(outcome.duration_s));
-    Ok(Run { journal, outcome })
+    let job = MissionJob::new(scenario, schedule);
+    let mut f = job.start()?;
+    while job.step(&mut f)?.is_some() {}
+    Ok(job.land(f))
 }
 
 /// Flies `scenario` under `schedule` until the step boundary
@@ -232,26 +351,11 @@ pub fn run_killed(
     schedule: &FaultSchedule,
     kill_step: usize,
 ) -> Result<(Journal, Checkpoint), String> {
-    let mut m = scenario.build()?;
-    let sup = SupervisorConfig::default();
-    let sup_opt = scenario.supervised.then_some(&sup);
-    let env = MissionEnv {
-        scene: &m.scene,
-        budget: m.budget,
-        margin: m.margin,
-        limits: m.limits,
-    };
-    let mut state = MissionState::new(&m.plan, &m.part, &m.cfg);
-    let mut journal = Journal::begin(scenario.clone());
-    while !state.finished() && state.step() < kill_step {
-        let rec = state.advance(&mut m.world, &env, &m.cfg, schedule, sup_opt);
-        journal.push(&rec);
-    }
-    let checkpoint = Checkpoint {
-        mission: state.snapshot(),
-        world: m.world.snapshot(),
-    };
-    Ok((journal, checkpoint))
+    let job = MissionJob::new(scenario, schedule);
+    let mut f = job.start()?;
+    while f.state.step() < kill_step && job.step(&mut f)?.is_some() {}
+    let checkpoint = f.checkpoint();
+    Ok((f.journal, checkpoint))
 }
 
 /// Resumes a killed mission: rebuilds the world from the scenario,
@@ -261,31 +365,15 @@ pub fn resume(
     scenario: &Scenario,
     schedule: &FaultSchedule,
     checkpoint: &Checkpoint,
-    mut journal: Journal,
+    journal: Journal,
 ) -> Result<Run, String> {
     let _span = rfly_obs::span("replay.resume");
     rfly_obs::counter_add("replay.resumes", 1);
-    let mut m = scenario.build()?;
-    m.world
-        .restore(&checkpoint.world)
-        .map_err(|e| format!("world restore failed: {e}"))?;
-    let sup = SupervisorConfig::default();
-    let sup_opt = scenario.supervised.then_some(&sup);
-    let env = MissionEnv {
-        scene: &m.scene,
-        budget: m.budget,
-        margin: m.margin,
-        limits: m.limits,
-    };
-    let mut state = MissionState::from_snapshot(checkpoint.mission.clone());
-    while !state.finished() {
-        let rec = state.advance(&mut m.world, &env, &m.cfg, schedule, sup_opt);
-        rfly_obs::counter_add("replay.steps_journaled", 1);
-        journal.push(&rec);
-    }
-    let outcome = state.into_outcome(&env, sup_opt);
-    journal.seal(outcome.steps, Seconds::new(outcome.duration_s));
-    Ok(Run { journal, outcome })
+    let job = MissionJob::new(scenario, schedule);
+    let mut f = job.restore(checkpoint.clone())?;
+    f.journal = journal;
+    while job.step(&mut f)?.is_some() {}
+    Ok(job.land(f))
 }
 
 #[cfg(test)]

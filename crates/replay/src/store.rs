@@ -1,43 +1,16 @@
 //! Crash-consistent mission persistence: the journal and checkpoint
-//! writers routed through the injectable [`rfly_chaos::Storage`] trait,
-//! plus the salvage/recovery driver that makes a mission killed at *any
-//! storage operation* resume bit-identically.
-//!
-//! The durability protocol has exactly three moving parts:
-//!
-//! 1. **Incremental journal appends.** [`run_stored`] appends the
-//!    journal header once, then one [`crate::journal::step_block`] per
-//!    executed step, then the seal footer. Appends are prefix-durable:
-//!    a crash mid-append leaves a torn tail, never scrambled interior
-//!    bytes.
-//! 2. **Atomic checkpoints.** Every `checkpoint_every` steps (and once
-//!    at mission end) the full [`Checkpoint`] is written with
-//!    [`rfly_chaos::Storage::write_atomic`] — write-temp-then-commit on
-//!    a real filesystem — so the checkpoint file is always either the
-//!    old snapshot or the new one, whole.
-//! 3. **Salvage + resume.** [`recover_stored`] reads the journal back,
-//!    [`salvage_journal`]s it down to the longest prefix of complete
-//!    step blocks (truncating a torn tail, dropping a duplicated last
-//!    block), physically truncates the durable file to that prefix, and
-//!    resumes: from the checkpoint when it is at or before the salvage
-//!    point, otherwise by deterministic replay from scratch. Steps the
-//!    salvaged journal already holds are *verified* against the re-run,
-//!    not re-appended; steps past it are appended live. The final
-//!    durable bytes are identical to an uncrashed run's.
-//!
-//! What can be lost: step blocks whose append was never acknowledged
-//! (the torn tail) — those steps simply re-execute. A *lost-but-acked*
-//! append (the storage acked but dropped the bytes) is also healed,
-//! because recovery trusts only what it can read back.
+//! codecs run on the [`rfly_chaos::durable`] engine, so a mission
+//! killed at *any storage operation* resumes bit-identically. Only
+//! unacknowledged step blocks (the torn tail) are lost, and those steps
+//! re-execute; a lost-but-acked append heals too, because recovery
+//! trusts only what it reads back.
 
-use rfly_chaos::{Storage, StorageError};
-use rfly_dsp::units::Seconds;
-use rfly_faults::supervisor::{MissionEnv, MissionState, SupervisorConfig};
+use rfly_chaos::durable::{self, Files};
+use rfly_chaos::Storage;
 use rfly_faults::FaultSchedule;
 
-use crate::checkpoint::Checkpoint;
-use crate::journal::{self, Journal};
-use crate::runner::{Run, Scenario};
+use crate::journal::{Journal, JournalCodec};
+use crate::runner::{MissionJob, Run, Scenario};
 
 /// Where a stored mission keeps its two files.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,6 +26,15 @@ impl Default for StorePaths {
         Self {
             journal: "mission.journal".to_string(),
             checkpoint: "mission.ck".to_string(),
+        }
+    }
+}
+
+impl StorePaths {
+    fn files(&self) -> Files<'_> {
+        Files {
+            log: &self.journal,
+            checkpoint: &self.checkpoint,
         }
     }
 }
@@ -75,10 +57,6 @@ pub struct SalvagedJournal {
     pub dropped_duplicates: usize,
 }
 
-fn io(op: &str, e: StorageError) -> String {
-    format!("{op}: {e}")
-}
-
 /// Truncates raw journal bytes to the longest valid prefix of complete
 /// step blocks, dropping a torn tail line, any block missing its `e`
 /// terminator, a duplicated last block, and anything after the seal.
@@ -88,102 +66,18 @@ fn io(op: &str, e: StorageError) -> String {
 /// with [`Journal::from_text`] and its step indices are sequential from
 /// zero — the two invariants [`recover_stored`] leans on.
 pub fn salvage_journal(raw: &[u8]) -> SalvagedJournal {
-    let text = String::from_utf8_lossy(raw);
-    let mut accepted = String::new();
-    let mut steps = 0usize;
-    let mut sealed = false;
-    let mut dropped_duplicates = 0usize;
-    let mut have_header = false;
-    let mut have_scenario = false;
-    // Lines of the step block currently being scanned; a block is only
-    // committed into `accepted` once its `e` terminator arrives whole.
-    let mut pending = String::new();
-    let mut prev_block = String::new();
-
-    for line in text.split_inclusive('\n') {
-        if !line.ends_with('\n') {
-            break; // torn tail: the crash cut this line short
-        }
-        let trimmed = line.trim();
-        if !have_header {
-            if trimmed == "rfly-journal v1" {
-                have_header = true;
-                accepted.push_str(line);
-                continue;
-            }
-            break;
-        }
-        if !have_scenario {
-            if Scenario::from_line(trimmed, 1).is_ok() {
-                have_scenario = true;
-                accepted.push_str(line);
-                continue;
-            }
-            break;
-        }
-        if sealed {
-            break; // nothing is valid after the seal footer
-        }
-        let first = trimmed.split_whitespace().next().unwrap_or("");
-        if pending.is_empty() && first == "end" {
-            // Validate the footer by parsing the whole candidate.
-            let candidate = format!("{accepted}{line}");
-            match Journal::from_text(&candidate) {
-                Ok(j) if j.sealed.is_some() => {
-                    accepted = candidate;
-                    sealed = true;
-                    continue;
-                }
-                _ => break,
-            }
-        }
-        pending.push_str(line);
-        if first != "e" {
-            continue;
-        }
-        // Block candidate complete: accept only if the whole prefix
-        // still parses and the new block's step index is sequential.
-        let candidate = format!("{accepted}{pending}");
-        let parsed = match Journal::from_text(&candidate) {
-            Ok(j) => j,
-            Err(_) => break,
-        };
-        let last_step = match parsed.steps.last() {
-            Some(rec) => rec.step,
-            None => break,
-        };
-        if parsed.steps.len() == steps + 1 && last_step == steps {
-            accepted = candidate;
-            prev_block = std::mem::take(&mut pending);
-            steps += 1;
-        } else if steps > 0 && pending == prev_block {
-            // A duplicated append landed the last block twice.
-            dropped_duplicates += 1;
-            pending.clear();
-        } else {
-            break; // out-of-sequence or otherwise corrupt block
-        }
-    }
-
-    // A bare header with no scenario line cannot seed a resume.
-    if !have_scenario {
-        accepted.clear();
-        steps = 0;
-        sealed = false;
-    }
-    let journal = if accepted.is_empty() {
-        None
-    } else {
-        Journal::from_text(&accepted).ok()
-    };
-    let dropped_bytes = raw.len().saturating_sub(accepted.len());
+    let s = durable::salvage(&JournalCodec { expect: None }, raw);
     SalvagedJournal {
-        text: accepted,
-        journal,
-        steps,
-        sealed,
-        dropped_bytes,
-        dropped_duplicates,
+        steps: s.blocks.len(),
+        sealed: s.seal.is_some(),
+        journal: s.id.map(|scenario| Journal {
+            scenario,
+            steps: s.blocks,
+            sealed: s.seal.map(|(_, _, seal)| seal),
+        }),
+        text: s.text,
+        dropped_bytes: s.dropped_bytes,
+        dropped_duplicates: s.dropped_duplicates,
     }
 }
 
@@ -203,71 +97,18 @@ pub fn run_stored(
     checkpoint_every: usize,
 ) -> Result<Run, String> {
     let _span = rfly_obs::span("replay.run_stored");
-    let mut m = scenario.build()?;
-    let sup = SupervisorConfig::default();
-    let sup_opt = scenario.supervised.then_some(&sup);
-    let env = MissionEnv {
-        scene: &m.scene,
-        budget: m.budget,
-        margin: m.margin,
-        limits: m.limits,
-    };
-    storage
-        .append(&paths.journal, journal::header_text(scenario).as_bytes())
-        .map_err(|e| io("journal header append", e))?;
-    let mut state = MissionState::new(&m.plan, &m.part, &m.cfg);
-    let mut jrnl = Journal::begin(scenario.clone());
-    while !state.finished() {
-        let step = state.step();
-        let rec = state.advance(&mut m.world, &env, &m.cfg, schedule, sup_opt);
-        storage
-            .append(&paths.journal, journal::step_block(&rec).as_bytes())
-            .map_err(|e| io("journal step append", e))?;
-        rfly_obs::counter_add("replay.steps_journaled", 1);
-        jrnl.push(&rec);
-        if checkpoint_every != 0 && (step + 1).is_multiple_of(checkpoint_every) {
-            let cp = Checkpoint {
-                mission: state.snapshot(),
-                world: m.world.snapshot(),
-            };
-            storage
-                .write_atomic(&paths.checkpoint, cp.to_text().as_bytes())
-                .map_err(|e| io("checkpoint write", e))?;
-        }
-    }
-    let final_cp = Checkpoint {
-        mission: state.snapshot(),
-        world: m.world.snapshot(),
-    };
-    let outcome = state.into_outcome(&env, sup_opt);
-    jrnl.seal(outcome.steps, Seconds::new(outcome.duration_s));
-    let seal = jrnl
-        .sealed
-        .ok_or_else(|| "sealed journal lost its seal".to_string())?;
-    storage
-        .append(&paths.journal, journal::seal_text(&seal).as_bytes())
-        .map_err(|e| io("journal seal append", e))?;
-    storage
-        .write_atomic(&paths.checkpoint, final_cp.to_text().as_bytes())
-        .map_err(|e| io("final checkpoint write", e))?;
-    Ok(Run {
-        journal: jrnl,
-        outcome,
-    })
+    let job = MissionJob::new(scenario, schedule);
+    durable::run(&job, storage, paths.files(), checkpoint_every)
 }
 
 /// Recovers a crashed [`run_stored`] mission from whatever `storage`
 /// holds and flies it to completion, leaving the durable files
 /// bit-identical to an uncrashed run's.
 ///
-/// Protocol: salvage the journal, truncate the durable file to the
-/// salvaged prefix, resume from the checkpoint when it is at or before
-/// the salvage point (otherwise replay deterministically from scratch),
-/// *verify* re-executed steps against the salvaged blocks instead of
-/// re-appending them, append everything past the salvage point live,
-/// and re-establish the periodic + final checkpoints. A mismatch
-/// between a re-executed step and its salvaged block — real storage
-/// corruption, not a crash — is reported as `Err`.
+/// A journal for another scenario, a re-executed step or seal whose
+/// bytes differ from the durable ones, or a seal that disagrees with
+/// the salvaged step count is real corruption, not a crash, and is
+/// reported as `Err`.
 pub fn recover_stored(
     scenario: &Scenario,
     schedule: &FaultSchedule,
@@ -276,142 +117,15 @@ pub fn recover_stored(
     checkpoint_every: usize,
 ) -> Result<Run, String> {
     let _span = rfly_obs::span("replay.recover_stored");
-    rfly_obs::counter_add("replay.recoveries", 1);
-    let raw = match storage.read(&paths.journal) {
-        Ok(bytes) => bytes,
-        Err(StorageError::NotFound(_)) => Vec::new(),
-        Err(e) => return Err(io("journal read", e)),
-    };
-    let salv = salvage_journal(&raw);
-    if let Some(j) = &salv.journal {
-        if j.scenario != *scenario {
-            return Err(format!(
-                "salvaged journal is for a different scenario: {:?}",
-                j.scenario.to_line()
-            ));
-        }
-    }
-    rfly_obs::counter_add("replay.salvaged_steps", salv.steps as u64);
-    rfly_obs::counter_add("replay.salvage_dropped_bytes", salv.dropped_bytes as u64);
-
-    // Physically truncate the durable journal to the salvaged prefix
-    // (or restart it at the bare header) so the torn tail is gone even
-    // if we crash again mid-recovery.
-    let base_text = if salv.journal.is_some() {
-        salv.text.clone()
-    } else {
-        journal::header_text(scenario)
-    };
-    storage
-        .write_atomic(&paths.journal, base_text.as_bytes())
-        .map_err(|e| io("journal truncate", e))?;
-
-    // A checkpoint is usable only if recovery can reach its step from
-    // durable blocks; a checkpoint *ahead* of the salvage point (its
-    // covering blocks were lost) would skip steps, so it is discarded
-    // and the mission replays from scratch.
-    let cp = match storage.read(&paths.checkpoint) {
-        Ok(bytes) => String::from_utf8(bytes)
-            .ok()
-            .and_then(|t| Checkpoint::from_text(&t).ok())
-            .filter(|c| c.mission.step <= salv.steps),
-        Err(_) => None,
-    };
-
-    let mut m = scenario.build()?;
-    let sup = SupervisorConfig::default();
-    let sup_opt = scenario.supervised.then_some(&sup);
-    let env = MissionEnv {
-        scene: &m.scene,
-        budget: m.budget,
-        margin: m.margin,
-        limits: m.limits,
-    };
-    let mut state = match &cp {
-        Some(cp) => {
-            m.world
-                .restore(&cp.world)
-                .map_err(|e| format!("world restore failed: {e}"))?;
-            MissionState::from_snapshot(cp.mission.clone())
-        }
-        None => MissionState::new(&m.plan, &m.part, &m.cfg),
-    };
-    let mut jrnl = match salv.journal {
-        Some(j) => j,
-        None => Journal::begin(scenario.clone()),
-    };
-    // The in-memory journal must only hold steps the state has actually
-    // passed plus the durable ones we will verify against.
-    while !state.finished() {
-        let step = state.step();
-        let rec = state.advance(&mut m.world, &env, &m.cfg, schedule, sup_opt);
-        if step < salv.steps {
-            // Fast-forward: this block is already durable. Verify the
-            // re-executed step against it instead of re-appending.
-            let expected = jrnl
-                .steps
-                .get(step)
-                .ok_or_else(|| format!("salvaged journal missing step {step}"))?;
-            if *expected != rec {
-                return Err(format!(
-                    "recovery diverged from salvaged journal at step {step}"
-                ));
-            }
-        } else {
-            storage
-                .append(&paths.journal, journal::step_block(&rec).as_bytes())
-                .map_err(|e| io("journal step append", e))?;
-            rfly_obs::counter_add("replay.steps_journaled", 1);
-            jrnl.push(&rec);
-        }
-        if checkpoint_every != 0 && (step + 1).is_multiple_of(checkpoint_every) {
-            let cp = Checkpoint {
-                mission: state.snapshot(),
-                world: m.world.snapshot(),
-            };
-            storage
-                .write_atomic(&paths.checkpoint, cp.to_text().as_bytes())
-                .map_err(|e| io("checkpoint write", e))?;
-        }
-    }
-    let final_cp = Checkpoint {
-        mission: state.snapshot(),
-        world: m.world.snapshot(),
-    };
-    let outcome = state.into_outcome(&env, sup_opt);
-    if salv.sealed {
-        // The seal survived the crash; it must agree with the re-run.
-        let seal = jrnl
-            .sealed
-            .ok_or_else(|| "salvage reported sealed but journal has no seal".to_string())?;
-        if seal.steps != outcome.steps || seal.duration_s != outcome.duration_s {
-            return Err(format!(
-                "salvaged seal (steps={}, duration={}) disagrees with recovered outcome \
-                 (steps={}, duration={})",
-                seal.steps, seal.duration_s, outcome.steps, outcome.duration_s
-            ));
-        }
-    } else {
-        jrnl.seal(outcome.steps, Seconds::new(outcome.duration_s));
-        let seal = jrnl
-            .sealed
-            .ok_or_else(|| "sealed journal lost its seal".to_string())?;
-        storage
-            .append(&paths.journal, journal::seal_text(&seal).as_bytes())
-            .map_err(|e| io("journal seal append", e))?;
-    }
-    storage
-        .write_atomic(&paths.checkpoint, final_cp.to_text().as_bytes())
-        .map_err(|e| io("final checkpoint write", e))?;
-    Ok(Run {
-        journal: jrnl,
-        outcome,
-    })
+    let job = MissionJob::new(scenario, schedule);
+    durable::recover(&job, storage, paths.files(), checkpoint_every)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{self, Seal};
+    use crate::Checkpoint;
     use rfly_chaos::MemStorage;
 
     fn stored_run(seed: u64, every: usize) -> (MemStorage, Run) {
@@ -534,6 +248,44 @@ mod tests {
             recover_stored(&scn, &storm, &mut empty, &paths, 4).expect("recovery completes");
         assert_eq!(recovered.journal, run.journal);
         assert_eq!(empty, reference);
+    }
+
+    #[test]
+    fn recover_rejects_a_whole_seal_that_disagrees() {
+        let paths = StorePaths::default();
+        let (reference, run) = stored_run(11, 3);
+        let text = run.journal.to_text();
+        let seal = run.journal.sealed.expect("sealed");
+        let steps = format!("end steps={} ", seal.steps);
+        // A seal covering one step fewer than the journal holds, and a
+        // seal with the right count but another duration: neither is a
+        // crash state, so both are corruption.
+        for bad in [
+            text.replace(&steps, &format!("end steps={} ", seal.steps - 1)),
+            text.replace(
+                &journal::seal_text(&seal),
+                &journal::seal_text(&Seal {
+                    duration_s: seal.duration_s + 1.0,
+                    ..seal
+                }),
+            ),
+        ] {
+            assert_ne!(bad, text);
+            assert!(salvage_journal(bad.as_bytes()).sealed, "the seal parses");
+            let mut store = reference.clone();
+            store
+                .write_atomic(&paths.journal, bad.as_bytes())
+                .expect("plant");
+            let err = recover_stored(
+                &Scenario::small(11),
+                &FaultSchedule::storm(11, 2, 12),
+                &mut store,
+                &paths,
+                3,
+            )
+            .expect_err("a wrong seal must be rejected");
+            assert!(err.contains("seal"), "{err}");
+        }
     }
 
     #[test]

@@ -87,13 +87,6 @@ impl SampleLink {
         }
     }
 
-    /// Overrides the propagation phasors (e.g. for wired-bench setups).
-    pub fn with_channels(mut self, h1: Complex, h2: Complex) -> Self {
-        self.h1 = h1;
-        self.h2 = h2;
-        self
-    }
-
     /// The model-predicted round-trip channel the reader should estimate
     /// (up to the relay's constant hardware phase): `h1²·h2²·g_dl·g_ul`.
     pub fn predicted_channel_magnitude(&self) -> f64 {

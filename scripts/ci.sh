@@ -115,6 +115,16 @@ echo "== benchmark self-check (perfbench sar-localize, traced; DESIGN.md §15.4)
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload sar-localize --seed 1 --seconds 5 --trace 1 | tail -1
 
+echo "== benchmark self-check (perfbench durable-recovery, traced; DESIGN.md §14.3) =="
+# Flies the durable-recovery workload for 5 s with the trace on. The
+# traced path rebuilds run_stored/recover_stored from the public
+# journal and checkpoint calls and must leave files byte-identical to
+# the untraced rfly_chaos::durable engine's; every recovery must equal
+# the uncrashed files. A mismatch, a failed check, or a panic exits
+# non-zero.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload durable-recovery --seed 1 --seconds 5 --trace 1 | tail -1
+
 echo "== crash matrix (every storage op x every fault mode; DESIGN.md §14) =="
 # Crashes every storage operation of the journaled mission and the
 # stored campaign in every fault mode (torn / lost-acked / duplicated /
